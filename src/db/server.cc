@@ -143,6 +143,45 @@ void EncryptedServer::MergeShardDigests(const ShardWorkUnit& wu,
   }
 }
 
+std::vector<Digest32> EncryptedServer::DecryptShardRows(
+    const ShardWorkUnit& wu, const std::vector<size_t>& rows,
+    PreparedRowCache* cache, size_t batch_rows, ShardExecStats* stats) {
+  // One batched final exponentiation per batch_rows rows; byte-identical
+  // to the per-row path (see FinalExponentiationBatch).
+  const size_t batch = std::max<size_t>(1, batch_rows);
+  const SeriesPlanState::Unit& unit = *wu.unit;
+  std::vector<Digest32> digests;
+  digests.reserve(rows.size());
+  std::vector<Fp12> millers;
+  millers.reserve(std::min(batch, rows.size()));
+  auto flush = [&] {
+    std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
+    digests.insert(digests.end(), d.begin(), d.end());
+    millers.clear();
+  };
+  for (size_t row : rows) {
+    const SjRowCiphertext& ct = unit.table->rows[row].sj;
+    std::shared_ptr<const SjPreparedRow> prep;
+    bool built = false;
+    if (cache) {
+      prep = cache->Get(unit.table->name, (*unit.row_ids)[row], ct, &built);
+    }
+    if (prep) {
+      millers.push_back(
+          SecureJoin::DecryptRowMillerPrepared(*unit.token, *prep));
+      ++(built ? stats->prepared_rows_built : stats->prepared_cache_hits);
+      ++stats->prepared_pairings;
+    } else {
+      millers.push_back(SecureJoin::DecryptRowMiller(*unit.token, ct));
+      ++stats->pairings_computed;
+    }
+    ++stats->decrypts_performed;
+    if (millers.size() >= batch) flush();
+  }
+  if (!millers.empty()) flush();
+  return digests;
+}
+
 Status EncryptedServer::StoreTable(EncryptedTable table) {
   TableIdFor(table.name);
   return store_.Store(std::move(table));
@@ -740,43 +779,11 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
         PreparedRowCache* cache =
             use_prepared ? (*caches)[wu.shard].get() : nullptr;
         ShardExecStats local;
-        // One batched final exponentiation per decrypt_batch_rows rows
-        // (work units are already kRowsPerTask-sized, so most units form a
-        // single batch); byte-identical to the per-row path.
-        const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-        std::vector<Digest32> digests;
-        digests.reserve(wu.rows.size());
-        std::vector<Fp12> millers;
-        millers.reserve(std::min(batch, wu.rows.size()));
-        auto flush = [&] {
-          std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-          digests.insert(digests.end(), d.begin(), d.end());
-          millers.clear();
-        };
-        for (size_t row : wu.rows) {
-          const SjRowCiphertext& ct = wu.unit->table->rows[row].sj;
-          std::shared_ptr<const SjPreparedRow> prep;
-          bool built = false;
-          if (cache) {
-            prep = cache->Get(wu.unit->table->name,
-                              (*wu.unit->row_ids)[row], ct, &built);
-          }
-          if (prep) {
-            millers.push_back(
-                SecureJoin::DecryptRowMillerPrepared(*wu.unit->token, *prep));
-            ++(built ? local.prepared_rows_built : local.prepared_cache_hits);
-          } else {
-            millers.push_back(
-                SecureJoin::DecryptRowMiller(*wu.unit->token, ct));
-            ++local.pairings_computed;
-          }
-          ++local.decrypts_performed;
-          if (millers.size() >= batch) flush();
-        }
-        if (!millers.empty()) flush();
-        MergeShardDigests(wu, digests);
-        local.prepared_pairings =
-            local.prepared_rows_built + local.prepared_cache_hits;
+        // Work units are already kRowsPerTask-sized, so most form a
+        // single final-exponentiation batch.
+        MergeShardDigests(wu, DecryptShardRows(wu, wu.rows, cache,
+                                               opts.decrypt_batch_rows,
+                                               &local));
         std::lock_guard<std::mutex> lock(stats_mu);
         ShardExecStats& merged = out.stats.shard_stats[wu.shard];
         merged.decrypts_performed += local.decrypts_performed;
@@ -819,7 +826,7 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
   out.stats.shards = series.queries.empty() ? 0 : k;
   out.stats.shard_stats.assign(out.stats.shards, ShardExecStats{});
 
-  // One RPC per (unit x shard): rows_per_chunk = 0 disables the local
+  // One slice per (unit x shard): rows_per_chunk = 0 disables the local
   // path's ~8-row chunking. Worker round-trip latency dominates task
   // granularity here, and fewer, bigger requests amortize the framing.
   Stopwatch decrypt_watch;
@@ -831,108 +838,80 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
       },
       /*rows_per_chunk=*/0);
 
+  // The whole pass goes to the delegate at once, so it can put every
+  // slice in flight before it waits for the first answer.
+  std::vector<ShardDecryptRequest> reqs(work.size());
+  for (size_t wi = 0; wi < work.size(); ++wi) {
+    const ShardWorkUnit& wu = work[wi];
+    ShardDecryptRequest& req = reqs[wi];
+    req.table = wu.unit->table->name;
+    req.generation = state.snapshots.at(req.table).generation;
+    req.shard = static_cast<uint32_t>(wu.shard);
+    req.token = *wu.unit->token;
+    req.rows.reserve(wu.rows.size());
+    for (size_t row : wu.rows) req.rows.push_back((*wu.unit->row_ids)[row]);
+  }
+  std::vector<Result<ShardDecryptResponse>> resps = decrypt(reqs);
+  if (resps.size() != work.size()) {
+    return Status::Internal("shard decrypt delegate answered " +
+                            std::to_string(resps.size()) + " of " +
+                            std::to_string(work.size()) + " slices");
+  }
+  for (const auto& resp : resps) SJOIN_RETURN_IF_ERROR(resp.status());
+
   std::mutex merge_mu;
   Status first_error;
+  PreparedRowCache* cache =
+      opts.prepared_cache_bytes > 0 ? &prepared_cache_ : nullptr;
   ThreadPool::Shared().ParallelFor(
       work.size(), opts.num_threads, [&](size_t wi) {
-        {
-          std::lock_guard<std::mutex> lock(merge_mu);
-          if (!first_error.ok()) return;  // a sibling RPC already failed
-        }
         const ShardWorkUnit& wu = work[wi];
-        ShardDecryptRequest req;
-        req.table = wu.unit->table->name;
-        req.generation = state.snapshots.at(wu.unit->table->name).generation;
-        req.shard = static_cast<uint32_t>(wu.shard);
-        req.token = *wu.unit->token;
-        req.rows.reserve(wu.rows.size());
-        for (size_t row : wu.rows) {
-          req.rows.push_back((*wu.unit->row_ids)[row]);
-        }
-
-        Result<ShardDecryptResponse> resp = decrypt(req);
+        const ShardDecryptResponse& resp = *resps[wi];
+        const std::string& table = reqs[wi].table;
         Status err;
-        ShardExecStats local;
-        std::vector<Digest32> digests;
-        if (!resp.ok()) {
-          err = resp.status();
-        } else if (resp->have.size() != wu.rows.size()) {
+        ShardExecStats local = resp.stats;
+        std::vector<Digest32> digests(wu.rows.size());
+        std::vector<size_t> missing;  // indices into wu.rows
+        if (resp.have.size() != wu.rows.size()) {
           err = Status::Internal(
-              "shard decrypt response for table '" + req.table + "' answers " +
-              std::to_string(resp->have.size()) + " rows, requested " +
+              "shard decrypt response for table '" + table + "' answers " +
+              std::to_string(resp.have.size()) + " rows, requested " +
               std::to_string(wu.rows.size()));
         } else {
-          local = resp->stats;
-          digests.assign(wu.rows.size(), Digest32{});
-          std::vector<size_t> missing;
           size_t next = 0;
-          for (size_t i = 0; i < wu.rows.size() && err.ok(); ++i) {
-            if (resp->have[i]) {
-              if (next >= resp->digests.size()) {
-                err = Status::Internal(
-                    "shard decrypt response for table '" + req.table +
-                    "' has fewer digests than its presence bitmap claims");
-                break;
-              }
-              digests[i] = resp->digests[next++];
-            } else {
+          for (size_t i = 0; i < wu.rows.size(); ++i) {
+            if (!resp.have[i]) {
               missing.push_back(i);
+            } else if (next < resp.digests.size()) {
+              digests[i] = resp.digests[next++];
+            } else {
+              err = Status::Internal(
+                  "shard decrypt response for table '" + table +
+                  "' has fewer digests than its presence bitmap claims");
+              break;
             }
           }
-          if (err.ok() && next != resp->digests.size()) {
+          if (err.ok() && next != resp.digests.size()) {
             err = Status::Internal(
-                "shard decrypt response for table '" + req.table +
+                "shard decrypt response for table '" + table +
                 "' has more digests than its presence bitmap claims");
           }
-          if (err.ok() && !missing.empty()) {
-            // Rows the worker does not hold (a mutation slice it missed
-            // while down, or every replica of the shard unreachable --
-            // the coordinator then answers an all-zero bitmap). The
-            // pinned snapshot still holds them, so decrypt locally
-            // through the same batched Miller + shared-final-exp kernel
-            // as the resident paths, prepared-line cache included --
-            // SJ.Dec sees only (ciphertext, token), so the digests are
-            // identical to what the worker would have answered.
-            PreparedRowCache* cache =
-                opts.prepared_cache_bytes > 0 ? &prepared_cache_ : nullptr;
-            const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-            std::vector<Fp12> millers;
-            std::vector<size_t> pending_idx;
-            millers.reserve(std::min(batch, missing.size()));
-            pending_idx.reserve(std::min(batch, missing.size()));
-            auto flush = [&] {
-              std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-              for (size_t j = 0; j < pending_idx.size(); ++j) {
-                digests[pending_idx[j]] = d[j];
-              }
-              millers.clear();
-              pending_idx.clear();
-            };
-            for (size_t i : missing) {
-              const SjRowCiphertext& ct = wu.unit->table->rows[wu.rows[i]].sj;
-              std::shared_ptr<const SjPreparedRow> prep;
-              bool built = false;
-              if (cache) {
-                prep = cache->Get(wu.unit->table->name,
-                                  (*wu.unit->row_ids)[wu.rows[i]], ct, &built);
-              }
-              if (prep) {
-                millers.push_back(SecureJoin::DecryptRowMillerPrepared(
-                    *wu.unit->token, *prep));
-                ++(built ? local.prepared_rows_built
-                         : local.prepared_cache_hits);
-              } else {
-                millers.push_back(
-                    SecureJoin::DecryptRowMiller(*wu.unit->token, ct));
-                ++local.pairings_computed;
-              }
-              ++local.decrypts_performed;
-              pending_idx.push_back(i);
-              if (millers.size() >= batch) flush();
-            }
-            if (!millers.empty()) flush();
-            local.prepared_pairings =
-                local.prepared_rows_built + local.prepared_cache_hits;
+        }
+        if (err.ok() && !missing.empty()) {
+          // Rows the worker does not hold (a mutation slice it missed
+          // while down, or every replica of the shard unreachable -- the
+          // coordinator then answers an all-zero bitmap). The pinned
+          // snapshot still holds them, so decrypt locally through the
+          // resident paths' kernel, prepared-line cache included -- SJ.Dec
+          // sees only (ciphertext, token), so the digests are identical
+          // to what the worker would have answered.
+          std::vector<size_t> rows;
+          rows.reserve(missing.size());
+          for (size_t i : missing) rows.push_back(wu.rows[i]);
+          std::vector<Digest32> d = DecryptShardRows(
+              wu, rows, cache, opts.decrypt_batch_rows, &local);
+          for (size_t j = 0; j < missing.size(); ++j) {
+            digests[missing[j]] = d[j];
           }
         }
         if (err.ok()) {

@@ -139,17 +139,24 @@ class EncryptedServer {
   Result<EncryptedSeriesResult> ExecuteJoinSeriesSharded(
       const QuerySeriesTokens& series, const ServerExecOptions& opts = {});
 
-  /// The SJ.Dec delegate of ExecuteJoinSeriesDelegated: answers one
-  /// (decrypt-unit x placement-shard) slice of the batched decrypt pass
-  /// -- in src/dist, a worker RPC. Invoked concurrently from pool
-  /// threads; a non-OK result fails the whole series with that status.
+  /// The SJ.Dec delegate of ExecuteJoinSeriesDelegated: receives EVERY
+  /// (decrypt-unit x placement-shard) slice of the series' batched
+  /// decrypt pass in one call and answers one result per request, in
+  /// request order -- in src/dist, all slices go on the wire before any
+  /// answer is awaited, so the fan-out width is the slice count, not
+  /// ServerExecOptions::num_threads. Invoked once per series on the
+  /// calling thread; a non-OK result fails the whole series with that
+  /// status.
   using ShardDecryptFn =
-      std::function<Result<ShardDecryptResponse>(const ShardDecryptRequest&)>;
+      std::function<std::vector<Result<ShardDecryptResponse>>(
+          const std::vector<ShardDecryptRequest>&)>;
 
-  /// ExecuteJoinSeriesSharded with the SJ.Dec pass delegated slice by
-  /// slice: planning, dedup, SJ.Match, leakage and budget accounting all
-  /// run locally against this server's pinned snapshots, and only the
-  /// pairing work goes through `decrypt`. Rows are routed to placement
+  /// ExecuteJoinSeriesSharded with the SJ.Dec pass delegated as one
+  /// batch of slices: planning, dedup, SJ.Match, leakage and budget
+  /// accounting all run locally against this server's pinned snapshots,
+  /// and only the pairing work goes through `decrypt`; merging the
+  /// answers (and any local-fallback decrypts) runs on the shared pool
+  /// under opts.num_threads. Rows are routed to placement
   /// shards by ShardedTable::ShardOfDigest under a FIXED width
   /// `placement_shards` (the cluster's K, not the per-table clamp --
   /// uploads were partitioned under it, so routing must match). Digests
@@ -298,6 +305,16 @@ class EncryptedServer {
   /// step that makes sharded/delegated results identical to unsharded.
   static void MergeShardDigests(const ShardWorkUnit& wu,
                                 const std::vector<Digest32>& digests);
+  /// The SJ.Dec kernel of the sharded and delegated paths: decrypts
+  /// `rows` (positions within wu's snapshot) under wu's token -- Miller
+  /// loops cold or prepared through `cache` (nullptr: cold only), one
+  /// batched final exponentiation per `batch_rows` rows -- and returns
+  /// the digests aligned with `rows`, adding the work to `*stats`.
+  static std::vector<Digest32> DecryptShardRows(const ShardWorkUnit& wu,
+                                                const std::vector<size_t>& rows,
+                                                PreparedRowCache* cache,
+                                                size_t batch_rows,
+                                                ShardExecStats* stats);
 
   /// One generation of one table's K-way partition view, kept alive
   /// independently of the TableStore (the keepalive pins the generation

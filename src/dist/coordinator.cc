@@ -1,6 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -92,27 +93,88 @@ Coordinator::Clock::duration Coordinator::JitteredLocked(int ms) {
   return std::chrono::milliseconds(half(rng_));
 }
 
-Result<Bytes> Coordinator::WorkerRpc(Worker& w, FrameType request,
-                                     const Bytes& payload,
-                                     FrameType expected) {
-  std::lock_guard<std::mutex> lock(w.mu);
-  if (!w.client || !w.client->connected()) {
-    MarkUnhealthy(w);
-    return Status::Unavailable("worker '" + w.id + "' is not connected");
+void Coordinator::BreakLocked(Link& link) {
+  link.broken = true;
+  if (!link.reading) link.client.Close();
+  link.turn.notify_all();
+}
+
+Coordinator::Call Coordinator::Send(Worker& w, FrameType request,
+                                    const Bytes& payload, FrameType expected) {
+  Call call;
+  call.w = &w;
+  call.expected = expected;
+  std::shared_ptr<Link> link;
+  {
+    std::lock_guard<std::mutex> lock(w.link_mu);
+    link = w.link;
   }
-  Status sent = w.client->SendFrame(request, payload);
-  if (!sent.ok()) {
-    w.client->Close();
-    MarkUnhealthy(w);
-    return Status::Unavailable("worker '" + w.id + "': " + sent.message());
+  Status sent;
+  {
+    std::lock_guard<std::mutex> lock(link->mu);
+    if (link->broken || !link->client.connected()) {
+      sent = Status::Unavailable("worker '" + w.id + "' is not connected");
+    } else {
+      sent = link->client.SendFrame(request, payload);
+      if (sent.ok()) {
+        call.ticket = link->sent++;
+        call.link = link;
+        return call;
+      }
+      // A torn write desynchronizes the link for every later request.
+      BreakLocked(*link);
+      sent = Status::Unavailable("worker '" + w.id + "': " + sent.message());
+    }
   }
-  auto frame = w.client->ReadFrame();
+  MarkUnhealthy(w);
+  call.result = std::move(sent);
+  return call;
+}
+
+void Coordinator::Collect(std::vector<Call>& calls) {
+  std::vector<Call*> order;
+  order.reserve(calls.size());
+  for (Call& c : calls) {
+    if (c.link) order.push_back(&c);
+  }
+  std::sort(order.begin(), order.end(), [](const Call* a, const Call* b) {
+    return std::tie(a->w->id, a->link->serial, a->ticket) <
+           std::tie(b->w->id, b->link->serial, b->ticket);
+  });
+  for (Call* c : order) {
+    c->result = Receive(*c);
+    c->link.reset();
+  }
+}
+
+Result<Bytes> Coordinator::Receive(Call& call) {
+  Link& link = *call.link;
+  Result<Frame> frame =
+      Status::Unavailable("connection closed with the request in flight");
+  {
+    std::unique_lock<std::mutex> lock(link.mu);
+    link.turn.wait(lock, [&] { return link.settled == call.ticket; });
+    if (!link.broken) {
+      link.reading = true;
+      lock.unlock();
+      frame = link.client.ReadFrame();
+      lock.lock();
+      link.reading = false;
+    }
+    ++link.settled;
+    // A failed read leaves the stream mid-frame, and an unexpected frame
+    // type means responses no longer line up with tickets: either way
+    // every later ticket of this link would read the wrong answer.
+    if (!frame.ok() || (frame->type != FrameType::kError &&
+                        frame->type != call.expected)) {
+      link.broken = true;
+    }
+    if (link.broken) link.client.Close();  // no reader is inside ReadFrame
+    link.turn.notify_all();
+  }
+  const Worker& w = *call.w;
   if (!frame.ok()) {
-    // The connection is desynchronized either way (a late response would
-    // answer the wrong request); close it so later RPCs fail fast until
-    // the reconnect loop re-dials the worker.
-    w.client->Close();
-    MarkUnhealthy(w);
+    MarkUnhealthy(*call.w);
     if (frame.status().code() == StatusCode::kDeadlineExceeded) {
       return Status::DeadlineExceeded("worker '" + w.id + "': " +
                                       frame.status().message());
@@ -123,9 +185,8 @@ Result<Bytes> Coordinator::WorkerRpc(Worker& w, FrameType request,
   if (frame->type == FrameType::kError) {
     return DecodeErrorPayload(frame->payload);
   }
-  if (frame->type != expected) {
-    w.client->Close();
-    MarkUnhealthy(w);
+  if (frame->type != call.expected) {
+    MarkUnhealthy(*call.w);
     return Status::Unavailable(
         "worker '" + w.id + "' answered with unexpected frame type " +
         std::to_string(static_cast<int>(frame->type)));
@@ -133,106 +194,74 @@ Result<Bytes> Coordinator::WorkerRpc(Worker& w, FrameType request,
   return std::move(frame->payload);
 }
 
-Status Coordinator::SendShard(Worker& w, const std::string& table,
-                              uint32_t shard, bool skip_empty, bool force) {
-  if (!force && !w.healthy.load(std::memory_order_relaxed)) {
-    // Down worker: defer to the reconnect heal instead of burning a
-    // doomed RPC. Deferral is not failure -- replicas / local fallback
-    // cover the reads meanwhile.
-    QueueDirty(w, table, shard);
-    return Status::OK();
-  }
-  auto snap = engine_.table_store().Get(table);
-  SJOIN_RETURN_IF_ERROR(snap.status());
-  ShardAssignment a;
-  a.table = table;
-  a.generation = snap->generation;
-  a.num_shards = static_cast<uint32_t>(num_shards_);
-  a.shard = shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto& shards = row_shard_[table];
-    for (size_t p = 0; p < snap->table->rows.size(); ++p) {
-      StableRowId id = (*snap->row_ids)[p];
-      auto it = shards.find(id);
-      if (it != shards.end() && it->second == shard) {
-        a.row_ids.push_back(id);
+Status Coordinator::SendShards(const std::vector<ShardCopy>& copies,
+                               bool heal) {
+  Status first;
+  std::vector<Call> calls;
+  std::vector<std::pair<const ShardCopy*, size_t>> sent;  // copy, rows
+  for (const ShardCopy& c : copies) {
+    if (!heal && !c.w->healthy.load(std::memory_order_relaxed)) {
+      // Down worker: defer to the reconnect heal instead of burning a
+      // doomed RPC. Deferral is not failure -- replicas / local fallback
+      // cover the reads meanwhile.
+      QueueDirty(*c.w, c.table, c.shard);
+      continue;
+    }
+    auto snap = engine_.table_store().Get(c.table);
+    if (!snap.ok()) {
+      if (first.ok()) first = snap.status();
+      continue;
+    }
+    ShardAssignment a;
+    a.table = c.table;
+    a.generation = snap->generation;
+    a.num_shards = static_cast<uint32_t>(num_shards_);
+    a.shard = c.shard;
+    bool held = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto& shards = row_shard_[c.table];
+      for (size_t p = 0; p < snap->table->rows.size(); ++p) {
+        auto it = shards.find((*snap->row_ids)[p]);
+        if (it == shards.end() || it->second != c.shard) continue;
+        held = true;
+        if (c.drop) break;
+        a.row_ids.push_back(it->first);
         a.rows.push_back(snap->table->rows[p]);
       }
     }
+    // An empty shard needs no fresh upload: a worker holding nothing of
+    // it answers decrypt requests with an all-zero presence bitmap
+    // anyway. A heal upload goes out regardless -- the worker may hold
+    // rows deleted while it was down.
+    if (!held && !(heal && !c.drop)) continue;
+    calls.push_back(Send(*c.w, FrameType::kShardAssign,
+                         SerializeShardAssignment(a), FrameType::kShardAck));
+    sent.emplace_back(&c, a.rows.size());
   }
-  // An empty shard needs no upload on the fresh path: a worker holding
-  // nothing of it answers decrypt requests with an all-zero presence
-  // bitmap anyway. The heal path sends it regardless -- the worker may
-  // hold rows deleted while it was down.
-  if (a.rows.empty() && skip_empty) return Status::OK();
-  auto resp = WorkerRpc(w, FrameType::kShardAssign, SerializeShardAssignment(a),
-                        FrameType::kShardAck);
-  if (resp.ok()) {
-    auto ack = DeserializeShardAck(*resp);
-    if (ack.ok()) {
+  Collect(calls);
+  for (size_t k = 0; k < calls.size(); ++k) {
+    const auto& [c, rows] = sent[k];
+    Status st = calls[k].result.status();
+    if (st.ok()) st = DeserializeShardAck(*calls[k].result).status();
+    if (st.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (a.rows.empty()) {
+      if (rows == 0) {
         ++stats_.shard_drops;
       } else {
         ++stats_.shard_uploads;
-        stats_.rows_uploaded += a.rows.size();
+        stats_.rows_uploaded += rows;
       }
-      return Status::OK();
+      continue;
     }
-    resp = ack.status();
+    // Transport failure or a worker-side refusal: either way the copy is
+    // missing -- queue it for the heal. A live worker that refuses
+    // assignments is as diverged as a dead one.
+    MarkUnhealthy(*c->w);
+    QueueDirty(*c->w, c->table, c->shard);
+    if (first.ok()) first = st;
   }
-  // Transport failure (WorkerRpc already marked the worker unhealthy) or
-  // a worker-side refusal: either way the copy is missing -- queue it
-  // for the heal. A live worker that refuses assignments is as diverged
-  // as a dead one.
-  MarkUnhealthy(w);
-  QueueDirty(w, table, shard);
-  return resp.status();
-}
-
-Status Coordinator::UploadShard(Worker& w, const std::string& table,
-                                uint32_t shard) {
-  return SendShard(w, table, shard, /*skip_empty=*/true, /*force=*/false);
-}
-
-Status Coordinator::DropShard(Worker& w, const std::string& table,
-                              uint32_t shard) {
-  bool held = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = row_shard_.find(table);
-    if (it != row_shard_.end()) {
-      for (const auto& [id, s] : it->second) {
-        if (s == shard) {
-          held = true;
-          break;
-        }
-      }
-    }
-  }
-  if (!held) return Status::OK();  // the previous owner held nothing
-  if (!w.healthy.load(std::memory_order_relaxed)) {
-    // The heal path re-checks ownership per dirty entry and sends the
-    // drop over the fresh connection.
-    QueueDirty(w, table, shard);
-    return Status::OK();
-  }
-  ShardAssignment a;
-  a.table = table;
-  a.num_shards = static_cast<uint32_t>(num_shards_);
-  a.shard = shard;
-  auto snap = engine_.table_store().Get(table);
-  if (snap.ok()) a.generation = snap->generation;
-  auto resp = WorkerRpc(w, FrameType::kShardAssign, SerializeShardAssignment(a),
-                        FrameType::kShardAck);
-  if (!resp.ok()) {
-    QueueDirty(w, table, shard);
-    return resp.status();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.shard_drops;
-  return Status::OK();
+  return first;
 }
 
 Status Coordinator::StoreTable(EncryptedTable table) {
@@ -256,11 +285,13 @@ Status Coordinator::StoreTable(EncryptedTable table) {
   // Every replica of every shard; a down or failing owner queues its
   // copy for the heal instead of failing the store (the local engine is
   // authoritative regardless).
+  std::vector<ShardCopy> copies;
   for (uint32_t s = 0; s < num_shards_ && !workers.empty(); ++s) {
     for (const auto& owner : OwnersAmong(s, workers, replication_)) {
-      (void)UploadShard(*owner, name, s);
+      copies.push_back({owner, name, s});
     }
   }
+  (void)SendShards(copies, /*heal=*/false);
   return Status::OK();
 }
 
@@ -273,7 +304,7 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
   w->id = id;
   w->host = host;
   w->port = port;
-  w->client = std::make_unique<TcpClient>(std::move(*client));
+  w->link = std::make_shared<Link>(std::move(*client), ++link_serial_);
   std::map<std::string, std::shared_ptr<Worker>> before, after;
   std::vector<std::string> tables;
   {
@@ -291,17 +322,21 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
   // upload failure queues the copy for the heal -- the worker stays
   // registered either way (never a half-rebalanced cluster: reads are
   // covered by replicas or local fallback until the heal lands).
+  std::vector<ShardCopy> copies;
   for (uint32_t s = 0; s < num_shards_; ++s) {
     auto owners_after = OwnersAmong(s, after, replication_);
     if (!Among(owners_after, w)) continue;
     auto owners_before = OwnersAmong(s, before, replication_);
     for (const std::string& t : tables) {
-      (void)UploadShard(*w, t, s);
+      copies.push_back({w, t, s});
       for (const auto& old : owners_before) {
-        if (!Among(owners_after, old)) (void)DropShard(*old, t, s);
+        if (!Among(owners_after, old)) {
+          copies.push_back({old, t, s, /*drop=*/true});
+        }
       }
     }
   }
+  (void)SendShards(copies, /*heal=*/false);
   return Status::OK();
 }
 
@@ -323,24 +358,30 @@ Status Coordinator::RemoveWorker(const std::string& id) {
     for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
   {
-    // An in-flight RPC on another thread finishes (or fails) first; then
-    // the socket closes for good. No drops are sent to a removed worker,
-    // and the reconnect loop stops considering it.
-    std::lock_guard<std::mutex> wl(w->mu);
-    if (w->client) w->client->Close();
+    // Requests still in flight on another thread fail fast (a reader
+    // inside ReadFrame closes the socket when it returns). No drops are
+    // sent to a removed worker, and the reconnect loop stops considering
+    // it.
+    std::shared_ptr<Link> link;
+    {
+      std::lock_guard<std::mutex> lock(w->link_mu);
+      link = w->link;
+    }
+    std::lock_guard<std::mutex> lock(link->mu);
+    BreakLocked(*link);
   }
   // Re-home exactly the shard copies the removed worker owned: the
   // worker entering each affected top-R set receives an upload.
+  std::vector<ShardCopy> copies;
   for (uint32_t s = 0; s < num_shards_ && !after.empty(); ++s) {
     auto owners_before = OwnersAmong(s, before, replication_);
     if (!Among(owners_before, w)) continue;
     for (const auto& entrant : OwnersAmong(s, after, replication_)) {
       if (Among(owners_before, entrant)) continue;
-      for (const std::string& t : tables) {
-        (void)UploadShard(*entrant, t, s);
-      }
+      for (const std::string& t : tables) copies.push_back({entrant, t, s});
     }
   }
+  (void)SendShards(copies, /*heal=*/false);
   return Status::OK();
 }
 
@@ -361,10 +402,12 @@ Result<WorkerHealthInfo> Coordinator::WorkerHealth(const std::string& id) {
     }
     w = it->second;
   }
-  auto resp = WorkerRpc(*w, FrameType::kWorkerHealth, Bytes{},
-                        FrameType::kWorkerHealthResult);
-  SJOIN_RETURN_IF_ERROR(resp.status());
-  return DeserializeWorkerHealthInfo(*resp);
+  std::vector<Call> probe;
+  probe.push_back(Send(*w, FrameType::kWorkerHealth, Bytes{},
+                       FrameType::kWorkerHealthResult));
+  Collect(probe);
+  SJOIN_RETURN_IF_ERROR(probe[0].result.status());
+  return DeserializeWorkerHealthInfo(*probe[0].result);
 }
 
 Result<bool> Coordinator::WorkerIsHealthy(const std::string& id) const {
@@ -429,6 +472,8 @@ Result<MutationResult> Coordinator::ApplyMutation(
   // or fails mid-RPC queues its shards for the reconnect heal -- until
   // healed, the worker answers have[i] = 0 for rows it missed and the
   // coordinator falls back to local decrypts for exactly those rows.
+  std::vector<Call> calls;
+  std::vector<const Slice*> sent;
   for (auto& [w, slice] : slices) {
     slice.m.table = mutation.table;
     slice.m.new_generation = result->generation;
@@ -438,19 +483,25 @@ Result<MutationResult> Coordinator::ApplyMutation(
       ++stats_.mutation_slices_queued;
       continue;
     }
-    auto resp = WorkerRpc(*w, FrameType::kShardMutation,
-                          SerializeShardMutation(slice.m),
-                          FrameType::kShardAck);
-    if (resp.ok()) {
+    calls.push_back(Send(*w, FrameType::kShardMutation,
+                         SerializeShardMutation(slice.m),
+                         FrameType::kShardAck));
+    sent.push_back(&slice);
+  }
+  Collect(calls);
+  for (size_t k = 0; k < calls.size(); ++k) {
+    if (calls[k].result.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.mutation_rpcs;
-    } else {
-      // WorkerRpc marked the worker unhealthy; the whole (table, shard)
-      // assignments are re-sent on heal, which supersedes the slice.
-      for (uint32_t s : slice.shards) QueueDirty(*w, mutation.table, s);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.mutation_rpc_failures;
+      continue;
     }
+    // The whole (table, shard) assignments are re-sent on heal, which
+    // supersedes the slice.
+    for (uint32_t s : sent[k]->shards) {
+      QueueDirty(*calls[k].w, mutation.table, s);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.mutation_rpc_failures;
   }
   return result;
 }
@@ -473,65 +524,110 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
   }
   return engine_.ExecuteJoinSeriesDelegated(
       series, opts_.exec, num_shards_,
-      [this](const ShardDecryptRequest& req) -> Result<ShardDecryptResponse> {
-        std::vector<std::shared_ptr<Worker>> owners;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          owners = OwnersAmong(req.shard, workers_, replication_);
-        }
-        const Bytes payload = SerializeShardDecryptRequest(req);
-        for (size_t i = 0; i < owners.size(); ++i) {
-          Worker& w = *owners[i];
-          // A worker already out of rotation is skipped without an RPC
-          // (and without counting one -- the rpc counters only move when
-          // bytes do).
-          if (!w.healthy.load(std::memory_order_relaxed)) continue;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.decrypt_rpcs;
-          }
-          auto resp = WorkerRpc(w, FrameType::kShardDecrypt, payload,
-                                FrameType::kShardDigests);
-          if (resp.ok()) {
-            auto decoded = DeserializeShardDecryptResponse(*resp);
-            if (decoded.ok()) {
-              if (i > 0) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.failover_decrypts;
-              }
-              return decoded;
-            }
-            MarkUnhealthy(w);  // undecodable answer: as diverged as dead
-            resp = decoded.status();
-          }
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.decrypt_rpc_failures;
-          }
-          // Slow is not dead: a stall past the io timeout is the
-          // slow-worker detector firing, and silently absorbing it into
-          // a (slower still) local decrypt would hide the sizing problem
-          // -- fail the series loudly instead (docs/TUNING.md).
-          if (resp.status().code() == StatusCode::kDeadlineExceeded) {
-            return resp.status();
-          }
-          // Unavailable: fall through to the next replica in rendezvous
-          // order.
-        }
+      [this](const std::vector<ShardDecryptRequest>& reqs) {
+        return DecryptSlices(reqs);
+      });
+}
+
+std::vector<Result<ShardDecryptResponse>> Coordinator::DecryptSlices(
+    const std::vector<ShardDecryptRequest>& reqs) {
+  std::vector<Result<ShardDecryptResponse>> out(
+      reqs.size(), Status::Internal("decrypt slice not answered"));
+  std::vector<std::vector<std::shared_ptr<Worker>>> owners(reqs.size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      owners[i] = OwnersAmong(reqs[i].shard, workers_, replication_);
+    }
+  }
+  std::vector<Bytes> payloads;
+  payloads.reserve(reqs.size());
+  for (const ShardDecryptRequest& req : reqs) {
+    payloads.push_back(SerializeShardDecryptRequest(req));
+  }
+  std::vector<size_t> replica(reqs.size(), 0);  // next owner to try
+  std::vector<size_t> pending(reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) pending[i] = i;
+
+  // One round per failover step: every pending slice goes on the wire
+  // to its next healthy replica, then the round's answers are collected.
+  while (!pending.empty()) {
+    Stats delta;
+    std::vector<Call> calls;
+    std::vector<size_t> slice_of;
+    for (size_t i : pending) {
+      // A worker already out of rotation is skipped without an RPC (and
+      // without counting one -- the rpc counters only move when bytes
+      // do).
+      while (replica[i] < owners[i].size() &&
+             !owners[i][replica[i]]->healthy.load(std::memory_order_relaxed)) {
+        ++replica[i];
+      }
+      if (replica[i] == owners[i].size()) {
         // Every replica of the shard is down (or none exist): decrypt
         // the slice coordinator-locally from the pinned snapshot. An
         // all-zero presence bitmap routes every row to the delegated
         // executor's local-fallback path -- byte-identical by
         // construction, the series never fails over a dead worker.
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.local_fallback_units;
-          stats_.local_fallback_rows += req.rows.size();
-        }
+        ++delta.local_fallback_units;
+        delta.local_fallback_rows += reqs[i].rows.size();
         ShardDecryptResponse none;
-        none.have.assign(req.rows.size(), 0);
-        return none;
-      });
+        none.have.assign(reqs[i].rows.size(), 0);
+        out[i] = std::move(none);
+        continue;
+      }
+      ++delta.decrypt_rpcs;
+      calls.push_back(Send(*owners[i][replica[i]], FrameType::kShardDecrypt,
+                           payloads[i], FrameType::kShardDigests));
+      slice_of.push_back(i);
+    }
+    Collect(calls);
+
+    std::vector<size_t> retry;
+    Status deadline;
+    for (size_t k = 0; k < calls.size(); ++k) {
+      const size_t i = slice_of[k];
+      Status failed = calls[k].result.status();
+      if (failed.ok()) {
+        auto decoded = DeserializeShardDecryptResponse(*calls[k].result);
+        if (decoded.ok()) {
+          if (replica[i] > 0) ++delta.failover_decrypts;
+          out[i] = std::move(decoded);
+          continue;
+        }
+        MarkUnhealthy(*calls[k].w);  // undecodable answer: as diverged as dead
+        failed = decoded.status();
+      }
+      ++delta.decrypt_rpc_failures;
+      // Slow is not dead: a stall past the io timeout is the slow-worker
+      // detector firing, and silently absorbing it into a (slower still)
+      // local decrypt would hide the sizing problem -- fail the series
+      // loudly instead (docs/TUNING.md).
+      if (failed.code() == StatusCode::kDeadlineExceeded) {
+        if (deadline.ok()) deadline = failed;
+        out[i] = failed;
+        continue;
+      }
+      // Unavailable (or a worker-side error): on to the next replica in
+      // rendezvous order.
+      ++replica[i];
+      retry.push_back(i);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.decrypt_rpcs += delta.decrypt_rpcs;
+      stats_.decrypt_rpc_failures += delta.decrypt_rpc_failures;
+      stats_.failover_decrypts += delta.failover_decrypts;
+      stats_.local_fallback_units += delta.local_fallback_units;
+      stats_.local_fallback_rows += delta.local_fallback_rows;
+    }
+    if (!deadline.ok()) {
+      for (size_t i : retry) out[i] = deadline;
+      break;
+    }
+    pending = std::move(retry);
+  }
+  return out;
 }
 
 Result<uint32_t> Coordinator::ShardOfRow(const std::string& table,
@@ -629,37 +725,30 @@ void Coordinator::TryReconnect(const std::shared_ptr<Worker>& w) {
     if (it == workers_.end() || it->second != w) return;
   }
   {
-    std::lock_guard<std::mutex> wl(w->mu);
-    w->client = std::make_unique<TcpClient>(std::move(*client));
+    // Requests still outstanding on the old link settle there; the
+    // fresh link starts its tickets at 0.
+    auto link = std::make_shared<Link>(std::move(*client), ++link_serial_);
+    std::lock_guard<std::mutex> lock(w->link_mu);
+    w->link = std::move(link);
   }
   // Re-send everything the worker missed while down. A full (table,
   // shard) assignment supersedes any number of missed mutation slices,
   // and the ownership re-check turns copies that moved away while the
   // worker was down into drops.
-  std::set<std::pair<std::string, uint32_t>> dirty;
+  std::vector<ShardCopy> copies;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    dirty.swap(w->dirty);
+    for (const auto& [table, shard] : w->dirty) {
+      bool owned = Among(OwnersAmong(shard, workers_, replication_), w);
+      copies.push_back({w, table, shard, /*drop=*/!owned});
+    }
+    w->dirty.clear();
   }
-  for (const auto& [table, shard] : dirty) {
-    bool owned;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      owned = Among(OwnersAmong(shard, workers_, replication_), w);
-    }
-    Status st = owned ? SendShard(*w, table, shard, /*skip_empty=*/false,
-                                  /*force=*/true)
-                      : DropShard(*w, table, shard);
-    if (!st.ok()) {
-      // The fresh connection failed too (SendShard re-queued this entry;
-      // re-queue the rest) -- back off and try again later.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& remaining : dirty) w->dirty.insert(remaining);
-      }
-      backoff();
-      return;
-    }
+  if (!SendShards(copies, /*heal=*/true).ok()) {
+    // The fresh link failed too (SendShards re-queued every copy that
+    // did not land) -- back off and try again later.
+    backoff();
+    return;
   }
   std::lock_guard<std::mutex> lock(mu_);
   w->backoff_ms = 0;

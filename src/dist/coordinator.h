@@ -16,9 +16,18 @@
 // shards whose top-R set changed -- membership changes re-upload exactly
 // the moved copies, nothing else.
 //
+// Fan-out: every request -- decrypt slices, shard uploads, mutation
+// slices, health probes -- takes one path, Send then Collect. Send writes
+// the frame on the worker's pipelined connection and returns; Collect
+// reads the answers in request order. A series puts ALL of its decrypt
+// slices on the wire before it awaits the first answer, so each worker
+// holds several requests at once and its private pool decrypts them in
+// parallel, whatever the coordinator's ServerExecOptions::num_threads.
+//
 // Fault model (resilient, not fail-fast): a worker RPC that fails at the
 // transport (connect, torn frame, EOF mid-response) marks the worker
-// UNHEALTHY; decrypt slices fail over to the next replica in rendezvous
+// UNHEALTHY and fails every request still outstanding on its connection;
+// those decrypt slices fail over to the next replica in rendezvous
 // order, and when every replica of a shard is down the slice's rows are
 // decrypted coordinator-locally from the pinned snapshot -- the series
 // completes either way, byte-identical by construction. A worker that
@@ -74,9 +83,11 @@ struct CoordinatorOptions {
   /// in lockstep.
   int reconnect_initial_backoff_ms = 100;
   int reconnect_max_backoff_ms = 5000;
-  /// Transport options for the per-worker connections (io_timeout_ms is
-  /// the slow-worker detector: a decrypt slice past it fails the series
-  /// with DeadlineExceeded -- deliberately NOT failed over; see above).
+  /// Transport options for the per-worker connections. io_timeout_ms is
+  /// the slow-worker detector and bounds each RESPONSE, counted from when
+  /// its read begins -- i.e. once the answers queued ahead of it on the
+  /// connection have been read. A decrypt slice past it fails the series
+  /// with DeadlineExceeded -- deliberately NOT failed over; see above.
   TcpClientOptions client;
   /// Local execution options (planning threads, match, budgets); also
   /// the options of the no-worker local fallback.
@@ -109,10 +120,11 @@ class Coordinator {
   Result<MutationResult> ApplyMutation(const TableMutation& mutation);
 
   /// Executes the series with the SJ.Dec pass delegated to the workers
-  /// (EncryptedServer::ExecuteJoinSeriesDelegated). Each decrypt slice
-  /// tries its shard's replicas in rendezvous order; with every replica
-  /// down the slice is decrypted locally. Falls back to local sharded
-  /// execution when no healthy workers are registered at all.
+  /// (EncryptedServer::ExecuteJoinSeriesDelegated). All slices are sent
+  /// before any answer is read; each tries its shard's replicas in
+  /// rendezvous order; with every replica down the slice is decrypted
+  /// locally. Falls back to local sharded execution when no healthy
+  /// workers are registered at all.
   Result<EncryptedSeriesResult> ExecuteSeries(const QuerySeriesTokens& series);
 
   // --- Membership ----------------------------------------------------------
@@ -159,8 +171,8 @@ class Coordinator {
     uint64_t rows_uploaded = 0;   // rows across those assignments
     uint64_t shard_drops = 0;     // empty (drop) assignments sent
     uint64_t shards_queued = 0;   // (table, shard) sends deferred to heal
-    uint64_t decrypt_rpcs = 0;    // decrypt RPCs actually attempted
-    uint64_t decrypt_rpc_failures = 0;
+    uint64_t decrypt_rpcs = 0;    // decrypt slices sent (one per attempt)
+    uint64_t decrypt_rpc_failures = 0;  // attempts that got no answer
     uint64_t failover_decrypts = 0;    // units served by a non-primary replica
     uint64_t local_fallback_units = 0; // units with every replica down
     uint64_t local_fallback_rows = 0;  // rows across those units
@@ -176,11 +188,36 @@ class Coordinator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One registered worker. `mu` serializes RPCs on the connection (the
-  /// transport is strictly request/response per connection); the struct
-  /// is shared_ptr so a concurrent RemoveWorker never invalidates a
-  /// connection an in-flight series is using -- the RPC completes or
-  /// fails on the closed socket, never on freed memory.
+  /// One connection to a worker, pipelined: any number of requests may
+  /// be on the wire at once. A request is written whole under `mu` and
+  /// takes the next ticket; the worker's TcpServer answers a
+  /// connection's requests in request order (its reorder buffer holds
+  /// back early pool completions), so the holder of ticket t reads the
+  /// t-th response once tickets < t are settled. There is no window:
+  /// a caller sends its whole batch (a series' slices for this worker,
+  /// one mutation slice, its share of an upload) and collects it before
+  /// it sends again, so the requests in flight are the concurrent
+  /// callers' batches; the worker's private pool (ShardWorkerOptions::
+  /// num_threads) bounds how many of them run at once. A reconnect
+  /// installs a fresh Link (tickets restart at 0); requests still
+  /// outstanding on the old one settle there, against its own counters,
+  /// which keeps close / reconnect race-free with readers in flight.
+  struct Link {
+    Link(TcpClient c, uint64_t serial) : client(std::move(c)), serial(serial) {}
+    TcpClient client;
+    const uint64_t serial;  // creation order: ties the collect order
+    std::mutex mu;          // guards everything below; held per write
+    std::condition_variable turn;
+    uint64_t sent = 0;      // tickets issued
+    uint64_t settled = 0;   // tickets whose response was read or failed
+    bool reading = false;   // ticket `settled` is inside ReadFrame
+    bool broken = false;    // desynchronized or dead: sends and reads fail
+  };
+
+  /// One registered worker. The struct is shared_ptr so a concurrent
+  /// RemoveWorker never invalidates a worker an in-flight series is
+  /// using -- its requests complete or fail on the closed link, never on
+  /// freed memory.
   ///
   /// Health lifecycle: `healthy` flips false on the first transport
   /// failure (MarkUnhealthy); while false, decrypts skip the worker,
@@ -191,8 +228,8 @@ class Coordinator {
     std::string id;
     std::string host;
     uint16_t port = 0;
-    std::mutex mu;
-    std::unique_ptr<TcpClient> client;
+    std::mutex link_mu;  // guards the `link` pointer (swapped on re-dial)
+    std::shared_ptr<Link> link;
     std::atomic<bool> healthy{true};
     // Guarded by the coordinator's mu_:
     int backoff_ms = 0;
@@ -212,32 +249,75 @@ class Coordinator {
   static bool Among(const std::vector<std::shared_ptr<Worker>>& owners,
                     const std::shared_ptr<Worker>& w);
 
-  /// One framed request/response exchange on `w`, serialized by w->mu.
-  /// Transport failures close the connection, mark the worker unhealthy,
-  /// and map to Unavailable (DeadlineExceeded passes through); a kError
-  /// response decodes to the worker-reported status (worker stays
-  /// healthy -- it answered).
-  Result<Bytes> WorkerRpc(Worker& w, FrameType request, const Bytes& payload,
-                          FrameType expected);
+  // --- The one request path: Send, then Collect --------------------------
 
-  /// Builds the ShardAssignment of (table, shard) from the engine's
-  /// current snapshot and sends it to `w`. skip_empty: an empty
-  /// assignment is only worth sending when the worker may hold stale
-  /// rows of the shard (the heal path sets false). force: send even to
-  /// an unhealthy worker (only the heal path, which owns the fresh
-  /// connection). On any failure the shard is queued on w->dirty; the
-  /// returned status reflects the RPC so the heal loop can bail, and
-  /// data-plane callers deliberately ignore transport failures (the
-  /// reconnect loop owns recovery). Caller must not hold mu_ or w.mu.
-  Status SendShard(Worker& w, const std::string& table, uint32_t shard,
-                   bool skip_empty, bool force);
-  Status UploadShard(Worker& w, const std::string& table, uint32_t shard);
-  /// Tells `w` it no longer owns (table, shard); skipped when the
-  /// coordinator's map says the shard holds no rows.
-  Status DropShard(Worker& w, const std::string& table, uint32_t shard);
+  /// A request written to a worker's link, awaiting its response. The
+  /// caller keeps `w` alive until the call is collected.
+  struct Call {
+    Worker* w = nullptr;
+    std::shared_ptr<Link> link;  // null: the send failed (see `result`)
+    uint64_t ticket = 0;
+    FrameType expected{};
+    Result<Bytes> result = Status::Internal("not collected");
+  };
 
-  /// Flips `w` out of rotation and schedules its first re-dial. Safe
-  /// under w.mu (locks mu_; mu_ is never held while acquiring w.mu).
+  /// Writes one framed request on w's current link and returns without
+  /// waiting for the answer. A send that fails (link broken, write
+  /// error) closes the link, marks the worker unhealthy and fails the
+  /// call with Unavailable. Every returned call MUST be passed to Collect
+  /// before the caller blocks on anything else: a ticket never collected
+  /// would stall every later reader of the link.
+  Call Send(Worker& w, FrameType request, const Bytes& payload,
+            FrameType expected);
+  /// Reads every call's response, each from its link in ticket order,
+  /// visiting links in one global order (worker id, then link creation)
+  /// so concurrent collectors can never wait on each other. io_timeout_ms
+  /// bounds each response's wait from when its read begins. Transport
+  /// failures (EOF, timeout, torn or unexpected frame) close the link,
+  /// mark the worker unhealthy and map to Unavailable -- for this call
+  /// and every later ticket of the link, without waiting -- except that
+  /// DeadlineExceeded passes through; a kError response decodes to the
+  /// worker-reported status (the worker stays healthy -- it answered).
+  void Collect(std::vector<Call>& calls);
+  /// One call's turn on its link. Caller holds no lock.
+  Result<Bytes> Receive(Call& call);
+  /// Marks the link broken and closes it unless a reader is inside
+  /// ReadFrame (that reader closes it when it returns). Caller holds
+  /// link.mu.
+  static void BreakLocked(Link& link);
+
+  /// The delegate of ExecuteSeries: every slice goes out to the first
+  /// healthy replica of its shard before any answer is awaited; slices
+  /// left unanswered by a transport failure go to the next replica in
+  /// rendezvous order in a following round, and slices with every
+  /// replica down get an all-zero `have` bitmap (local fallback).
+  std::vector<Result<ShardDecryptResponse>> DecryptSlices(
+      const std::vector<ShardDecryptRequest>& reqs);
+
+  /// One (table, shard) copy bound for a worker: an upload of the
+  /// shard's rows in the engine's current snapshot, or a drop (an empty
+  /// assignment).
+  struct ShardCopy {
+    std::shared_ptr<Worker> w;
+    std::string table;
+    uint32_t shard = 0;
+    bool drop = false;
+  };
+  /// Sends every copy's ShardAssignment through Send, then collects the
+  /// acks. Copies of a shard that holds no rows are skipped (nothing to
+  /// upload, nothing held to drop) -- except heal uploads, which go out
+  /// empty because the worker may hold rows deleted while it was down.
+  /// Without `heal`, a copy bound for an unhealthy worker is queued on
+  /// its dirty set instead of sent; with it, copies go out regardless
+  /// (the heal owns the fresh link). A failed copy -- transport failure
+  /// or worker-side refusal, equally diverged -- marks its worker
+  /// unhealthy and is queued for the heal. Returns the first failure so
+  /// the heal can back off; data-plane callers ignore it (the reconnect
+  /// loop owns recovery). Caller holds data_mu_, not mu_.
+  Status SendShards(const std::vector<ShardCopy>& copies, bool heal);
+
+  /// Flips `w` out of rotation and schedules its first re-dial. Locks
+  /// mu_; caller holds no Link::mu.
   void MarkUnhealthy(Worker& w);
   /// Queues (table, shard) for the reconnect heal. Caller must not hold mu_.
   void QueueDirty(Worker& w, const std::string& table, uint32_t shard);
@@ -257,8 +337,8 @@ class Coordinator {
   EncryptedServer engine_;
 
   mutable std::mutex mu_;  // workers_, row_shard_, stats_, rng_, Worker
-                           // reconnect bookkeeping. NEVER held while
-                           // acquiring a Worker::mu (the reverse holds).
+                           // reconnect bookkeeping. A leaf: NEVER held
+                           // while acquiring a Link::mu or Worker::link_mu.
   std::map<std::string, std::shared_ptr<Worker>> workers_;
   /// Stable id -> placement shard per table (authoritative copy of what
   /// was uploaded; mutation routing and the test hooks read it).
@@ -271,8 +351,10 @@ class Coordinator {
   /// heals. Two racing mutations cannot interleave their slices per
   /// worker, and a heal observes a frozen topology -- whatever lands
   /// after it is delivered over the healed connection, never lost.
-  /// Always acquired before mu_ / Worker::mu; decrypts never take it.
+  /// Always acquired before mu_ / Link::mu; decrypts never take it.
   std::mutex data_mu_;
+
+  std::atomic<uint64_t> link_serial_{0};  // Link::serial source
 
   bool stopping_ = false;  // guarded by mu_
   std::condition_variable reconnect_cv_;

@@ -18,9 +18,11 @@
 //
 // Threading: Handle() (event-loop thread) moves every request onto the
 // worker's OWN thread pool and returns immediately. The pool is private
-// -- never ThreadPool::Shared() -- so an in-process coordinator whose
-// delegated pass blocks every shared-pool thread on worker RPCs cannot
-// starve the very decrypts those RPCs wait for.
+// -- never ThreadPool::Shared() -- so an in-process coordinator called
+// from shared-pool threads, which block while they await worker answers,
+// cannot starve the very decrypts those answers need. The coordinator
+// pipelines its slices, so one connection may carry many requests at
+// once; the pool runs them num_threads at a time.
 #ifndef SJOIN_DIST_WORKER_H_
 #define SJOIN_DIST_WORKER_H_
 

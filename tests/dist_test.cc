@@ -17,6 +17,12 @@
 //    DeadlineExceeded within the client io timeout (slow != dead). A
 //    seeded kill-timing sweep (SJOIN_DIST_FAILOVER_SEEDS) appends
 //    failures to dist_failing_seeds.txt for the CI artifact.
+//  - Pipelining: every decrypt slice of a series is on the wire before
+//    the coordinator awaits the first answer, independent of
+//    ServerExecOptions::num_threads; a worker dying with slices still
+//    outstanding costs each unanswered slice exactly one failover, and
+//    a health probe sharing the connection with an in-flight series
+//    gets its own answer back (FIFO ticket matching).
 //  - Recovery: failed mutation slices and membership-rebalance uploads
 //    are counted, queued on the unhealthy worker, and healed by the
 //    background reconnect loop (capped jittered backoff) -- after a
@@ -467,6 +473,13 @@ class FakeWorker {
     kTornOnDecrypt,     // answer with half a valid frame, then close
     kStallOnDecrypt,    // never answer
     kDieOnAssign,       // close on the first shard upload (AddWorker races)
+    // Withhold every decrypt answer until a second decrypt frame has
+    // arrived, then answer all of them (all-zero presence bitmaps): only
+    // a coordinator that pipelines its slices ever gets an answer.
+    kAnswerFromSecondDecrypt,
+    // Once a second decrypt frame has arrived, answer the first one
+    // (all-zero bitmap) and end the stream with the rest outstanding.
+    kAnswerFirstDecryptThenDie,
   };
 
   explicit FakeWorker(Mode mode) : mode_(mode) {
@@ -486,6 +499,9 @@ class FakeWorker {
 
   uint16_t port() const { return port_; }
   int decrypt_requests() const { return decrypts_.load(); }
+  /// Rows of the decrypt requests answered (all with have[i] = 0, so the
+  /// coordinator decrypted exactly these rows locally).
+  size_t answered_rows() const { return answered_rows_.load(); }
 
  private:
   void Serve() {
@@ -551,8 +567,27 @@ class FakeWorker {
           }
           case Mode::kStallOnDecrypt:
             return true;  // keep the connection open, answer nothing
+          case Mode::kAnswerFromSecondDecrypt:
+            withheld_.push_back(f);
+            if (decrypts_.load() < 2) return true;
+            for (const Frame& held : withheld_) {
+              if (!Send(fd, ZeroHaveAnswer(held))) return false;
+            }
+            withheld_.clear();
+            return true;
+          case Mode::kAnswerFirstDecryptThenDie:
+            withheld_.push_back(f);
+            if (decrypts_.load() == 2) {
+              // FIN right behind the answer. A close() with requests
+              // still unread would reset the connection instead, and a
+              // reset may discard the answer before the peer reads it.
+              Send(fd, ZeroHaveAnswer(withheld_.front()));
+              ::shutdown(fd, SHUT_WR);
+            }
+            return true;  // drain until the coordinator hangs up
+          default:
+            return false;
         }
-        return false;
       }
       default:
         return true;
@@ -563,11 +598,24 @@ class FakeWorker {
     return WriteAll(fd, b.data(), b.size(), 2000).ok();
   }
 
+  /// A well-formed answer that holds none of the requested rows.
+  Bytes ZeroHaveAnswer(const Frame& request) {
+    auto req = DeserializeShardDecryptRequest(request.payload);
+    SJOIN_CHECK(req.ok());
+    ShardDecryptResponse resp;
+    resp.have.assign(req->rows.size(), 0);
+    answered_rows_.fetch_add(req->rows.size());
+    return EncodeFrame(FrameType::kShardDigests,
+                       SerializeShardDecryptResponse(resp));
+  }
+
   const Mode mode_;
   UniqueFd listen_;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<int> decrypts_{0};
+  std::atomic<size_t> answered_rows_{0};
+  std::vector<Frame> withheld_;  // Serve thread only
   std::thread thread_;
 };
 
@@ -683,6 +731,101 @@ TEST(DistFaults, StalledWorkerIsDeadlineExceeded) {
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
       << r.status().ToString();
   EXPECT_LT(elapsed, 5000) << "timeout did not fire within the io budget";
+}
+
+// --- Pipelining ----------------------------------------------------------------
+
+TEST(DistPipelining, EverySliceIsInFlightBeforeTheFirstAnswer) {
+  // Default execution options: the coordinator's merge pool runs one
+  // thread, yet the fan-out must still put several slices on the wire.
+  ASSERT_EQ(CoordinatorOptions{}.exec.num_threads, 1);
+  DistEnv env(/*num_shards=*/8, TcpClientOptions{.io_timeout_ms = 250});
+  FakeWorker fake(FakeWorker::Mode::kAnswerFromSecondDecrypt);
+  ASSERT_TRUE(env.coord->AddWorker("wp", "127.0.0.1", fake.port()).ok());
+  const EncryptedTable* x = env.Upload("X", 8, 3);
+  // A serial fan-out waits for its first answer, which never comes:
+  // DeadlineExceeded after 250 ms instead of a result.
+  ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
+  Coordinator::Stats stats = env.coord->stats();
+  EXPECT_GE(fake.decrypt_requests(), 2);
+  EXPECT_EQ(stats.decrypt_rpcs, static_cast<uint64_t>(fake.decrypt_requests()));
+  EXPECT_EQ(stats.decrypt_rpc_failures, 0u);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy("wp"), true);
+}
+
+TEST(DistPipelining, DeathMidPipelineFailsOverEachUnansweredSliceOnce) {
+  DistEnv env(/*num_shards=*/8, {}, /*replication=*/2);
+  std::string real = env.AddWorker();
+  FakeWorker fake(FakeWorker::Mode::kAnswerFirstDecryptThenDie);
+  ASSERT_TRUE(env.coord->AddWorker("fake", "127.0.0.1", fake.port()).ok());
+  const size_t rows = 24;
+  const EncryptedTable* x = env.Upload("X", rows, 4);
+
+  // R = W = 2: both workers hold every shard. The self join decrypts two
+  // units, one slice per (unit, non-empty shard), sent to its primary.
+  size_t slices = 0, fake_primary = 0;
+  for (const auto& [shard, n] : RowsPerShard(env, "X", rows)) {
+    slices += 2;
+    if (*env.coord->OwnerOfShard(shard) == "fake") fake_primary += 2;
+  }
+  ASSERT_GE(fake_primary, 2u) << "the fake worker is primary for no shard";
+  const uint64_t unanswered = fake_primary - 1;
+
+  Coordinator::Stats before = env.coord->stats();
+  QuerySeriesTokens series = env.Series({KeySpec("X", "X")}, {x});
+  auto dist = env.coord->ExecuteSeries(series);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+
+  Coordinator::Stats after = env.coord->stats();
+  EXPECT_EQ(after.decrypt_rpc_failures - before.decrypt_rpc_failures,
+            unanswered);
+  EXPECT_EQ(after.failover_decrypts - before.failover_decrypts, unanswered);
+  EXPECT_EQ(after.decrypt_rpcs - before.decrypt_rpcs, slices + unanswered);
+  EXPECT_EQ(after.local_fallback_rows, before.local_fallback_rows);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy("fake"), false);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy(real), true);
+
+  // No slice ran twice: the real worker's digests plus the rows the fake
+  // answered as missing (decrypted coordinator-side) are the whole pass.
+  uint64_t delegated = 0;
+  for (const ShardExecStats& s : dist->stats.shard_stats) {
+    delegated += s.decrypts_performed;
+  }
+  EXPECT_EQ(delegated, 2 * rows);
+  EXPECT_EQ(env.workers[0].handler.Health().digests_computed +
+                fake.answered_rows(),
+            delegated);
+}
+
+TEST(DistPipelining, HealthProbeSharesTheLinkWithAnInFlightSeries) {
+  DistEnv env(/*num_shards=*/8);
+  std::string w1 = env.AddWorker();
+  const EncryptedTable* x = env.Upload("X", 24, 4);
+  QuerySeriesTokens series = env.Series({KeySpec("X", "X")}, {x});
+  auto future = std::async(std::launch::async,
+                           [&] { return env.coord->ExecuteSeries(series); });
+  // Probes interleave their tickets with the series' slices on the one
+  // connection; each must read its own kWorkerHealthResult, never a
+  // slice's digests (a mismatch would fail the probe AND the slice).
+  int probes = 0;
+  do {
+    auto h = env.coord->WorkerHealth(w1);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    EXPECT_EQ(h->rows_held, 24u);
+    ++probes;
+  } while (future.wait_for(std::chrono::milliseconds(0)) !=
+           std::future_status::ready);
+  auto dist = future.get();
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+  EXPECT_GE(probes, 1);
+  EXPECT_EQ(env.coord->stats().decrypt_rpc_failures, 0u);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy(w1), true);
 }
 
 // --- Failover against real workers ---------------------------------------------
