@@ -9,13 +9,16 @@
 //   batched final exponentiation vs. per-element FinalExponentiation
 //   batched SJ.Dec kernel       vs. per-row DecryptToDigest
 //
-// Self-contained (no Google Benchmark). `--json` emits one machine-readable
-// object and enforces conservative speedup floors on the ratios above,
-// exiting non-zero on a miss -- CI runs this as the perf smoke test, so a
-// dispatch or kernel regression fails the build instead of shipping.
+// Self-contained (no Google Benchmark). Every figure is the median of
+// kRounds rounds. `--json` emits one machine-readable object and enforces
+// conservative speedup floors on the ratios above (see Measure for how a
+// ratio is taken), exiting non-zero on a miss -- CI runs this as the perf
+// smoke test, so a dispatch or kernel regression fails the build instead
+// of shipping.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -86,15 +89,46 @@ struct Timings {
 
 constexpr size_t kFeBatch = 32;
 constexpr size_t kDecRows = 16;
-constexpr int kRounds = 3;
+constexpr int kRounds = 7;
 
-// Every quantity is the MINIMUM over kRounds interleaved measurement rounds.
-// Sequential A-then-B timing on a busy 1-vCPU host mistakes frequency drift
-// for a real difference (observed swings of +-15% on identical work);
-// interleaving the whole schedule and taking minima cancels the drift, and
-// noise only ever adds time, so the minimum estimates the true cost.
-Timings Measure() {
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+/// One timed quantity: sampled once per round, reported as the median.
+struct Quantity {
+  double* slot;
+  std::function<double()> time;
+  std::vector<double> samples;
+};
+
+/// Speedup floor of one optimized path against its in-process reference.
+struct Check {
+  const char* name;
+  double floor;
+  size_t ref, opt;             // indices into the Quantity list
+  std::vector<double> ratios;  // reference / optimized, one per round
+  double speedup = 0;          // median of `ratios`
+};
+
+struct Measurement {
   Timings t;
+  std::vector<Check> checks;
+};
+
+// Each check times its two arms back to back within a round, in the order
+// A-B-B-A with A and B swapping from round to round, and is gated on the
+// MEDIAN of the kRounds per-round ratios. A host whose speed drifts within
+// a run (observed swings of +-15% on identical work) moves both arms of
+// one round together, so the ratio cancels the drift; the median ignores
+// the odd round a scheduler hiccup hit one arm of. Ratios of minima taken
+// over separately scheduled arms missed the floors in 2 of 5 back-to-back
+// runs on an idle 4-vCPU host.
+Measurement Measure() {
+  Measurement m;
+  Timings& t = m.t;
   std::mt19937_64 gen(1);
 
   Fp2 x2 = RandomFp2(&gen), y2 = RandomFp2(&gen);
@@ -129,110 +163,135 @@ Timings Measure() {
     prepared.push_back(SecureJoin::PrepareRow(cts.back()));
   }
   const double rows = static_cast<double>(kDecRows);
+  // ms per row of one pass over all kDecRows rows (no warm-up call: the
+  // rounds already repeat every pass, and the median drops a cold one).
+  auto per_row_ms = [rows](auto&& fn) {
+    Stopwatch w;
+    fn();
+    return 1e3 * w.Seconds() / rows;
+  };
 
-  auto mn = [](double* slot, double v) { *slot = std::min(*slot, v); };
-  for (int round = 0; round < kRounds; ++round) {
-    mn(&t.fp_mul, NanosPerOp(x2.a(), [&](const Fp& a) { return a * y2.a(); }));
-    mn(&t.fp2_mul, NanosPerOp(x2, [&](const Fp2& a) { return a * y2; }));
-    mn(&t.fp2_mul_ref,
-       NanosPerOp(x2, [&](const Fp2& a) { return a.MulReference(y2); }));
-    mn(&t.fp12_mul,
-       NanosPerOp(f, [&](const Fp12& a) { return a * u; }, 4000));
-    mn(&t.fp12_mul_ref,
-       NanosPerOp(f, [&](const Fp12& a) { return a.MulReference(u); }, 4000));
-    mn(&t.fp12_sqr,
-       NanosPerOp(u, [&](const Fp12& a) { return a.Square(); }, 4000));
-    mn(&t.cyclo_sqr,
-       NanosPerOp(u, [&](const Fp12& a) { return a.CyclotomicSquare(); },
-                  4000));
-
-    mn(&t.g1_glv,
-       1e6 * benchutil::TimePerCall([&] { Sink(g1.ScalarMul(kc)); }));
-    mn(&t.g1_wnaf,
-       1e6 * benchutil::TimePerCall([&] { Sink(g1.ScalarMulWnaf(kc)); }));
-    mn(&t.g1_fixed_base,
-       1e6 * benchutil::TimePerCall([&] { Sink(table.Mul(k)); }));
-    mn(&t.g2_wnaf,
-       1e6 *
-           benchutil::TimePerCall([&] { Sink(G2Generator().ScalarMul(k)); }));
-
-    mn(&t.miller,
-       1e3 * benchutil::TimePerCall([&] { Sink(MillerLoop(p, q)); }));
-    mn(&t.final_exp,
-       1e3 * benchutil::TimePerCall([&] { Sink(FinalExponentiation(f)); }));
-    mn(&t.final_exp_batch,
-       1e3 *
+  std::vector<Quantity> qs;
+  auto add = [&qs](double* slot, std::function<double()> time) {
+    qs.push_back(Quantity{slot, std::move(time), {}});
+    return qs.size() - 1;
+  };
+  add(&t.fp_mul, [&] {
+    return NanosPerOp(x2.a(), [&](const Fp& a) { return a * y2.a(); });
+  });
+  add(&t.fp2_mul,
+      [&] { return NanosPerOp(x2, [&](const Fp2& a) { return a * y2; }); });
+  add(&t.fp2_mul_ref, [&] {
+    return NanosPerOp(x2, [&](const Fp2& a) { return a.MulReference(y2); });
+  });
+  size_t fp12_mul = add(&t.fp12_mul, [&] {
+    return NanosPerOp(f, [&](const Fp12& a) { return a * u; }, 4000);
+  });
+  size_t fp12_mul_ref = add(&t.fp12_mul_ref, [&] {
+    return NanosPerOp(f, [&](const Fp12& a) { return a.MulReference(u); },
+                      4000);
+  });
+  size_t fp12_sqr = add(&t.fp12_sqr, [&] {
+    return NanosPerOp(u, [&](const Fp12& a) { return a.Square(); }, 4000);
+  });
+  size_t cyclo_sqr = add(&t.cyclo_sqr, [&] {
+    return NanosPerOp(u, [&](const Fp12& a) { return a.CyclotomicSquare(); },
+                      4000);
+  });
+  size_t g1_glv = add(&t.g1_glv, [&] {
+    return 1e6 * benchutil::TimePerCall([&] { Sink(g1.ScalarMul(kc)); });
+  });
+  size_t g1_wnaf = add(&t.g1_wnaf, [&] {
+    return 1e6 * benchutil::TimePerCall([&] { Sink(g1.ScalarMulWnaf(kc)); });
+  });
+  add(&t.g1_fixed_base, [&] {
+    return 1e6 * benchutil::TimePerCall([&] { Sink(table.Mul(k)); });
+  });
+  add(&t.g2_wnaf, [&] {
+    return 1e6 *
+           benchutil::TimePerCall([&] { Sink(G2Generator().ScalarMul(k)); });
+  });
+  add(&t.miller, [&] {
+    return 1e3 * benchutil::TimePerCall([&] { Sink(MillerLoop(p, q)); });
+  });
+  size_t final_exp = add(&t.final_exp, [&] {
+    return 1e3 *
+           benchutil::TimePerCall([&] { Sink(FinalExponentiation(f)); });
+  });
+  size_t final_exp_batch = add(&t.final_exp_batch, [&] {
+    return 1e3 *
            benchutil::TimePerCall(
                [&] { Sink(FinalExponentiationBatch(fe_in)); }) /
-           static_cast<double>(kFeBatch));
-    mn(&t.pairing, 1e3 * benchutil::TimePerCall([&] { Sink(Pair(p, q)); }));
+           static_cast<double>(kFeBatch);
+  });
+  add(&t.pairing, [&] {
+    return 1e3 * benchutil::TimePerCall([&] { Sink(Pair(p, q)); });
+  });
+  size_t dec_cold_per_row = add(&t.dec_cold_per_row, [&] {
+    return per_row_ms([&] {
+      for (const auto& ct : cts) Sink(SecureJoin::DecryptToDigest(token, ct));
+    });
+  });
+  size_t dec_cold_batch = add(&t.dec_cold_batch, [&] {
+    return per_row_ms([&] { Sink(SecureJoin::DecryptRowsBatch(token, cts)); });
+  });
+  size_t dec_prep_per_row = add(&t.dec_prep_per_row, [&] {
+    return per_row_ms([&] {
+      for (const auto& row : prepared)
+        Sink(SecureJoin::DecryptToDigestPrepared(token, row));
+    });
+  });
+  size_t dec_prep_batch = add(&t.dec_prep_batch, [&] {
+    return per_row_ms(
+        [&] { Sink(SecureJoin::DecryptRowsPreparedBatch(token, prepared)); });
+  });
 
-    mn(&t.dec_cold_per_row, 1e3 *
-                                benchutil::TimePerCall(
-                                    [&] {
-                                      for (const auto& ct : cts)
-                                        Sink(SecureJoin::DecryptToDigest(token,
-                                                                         ct));
-                                    },
-                                    1, 0.0) /
-                                rows);
-    mn(&t.dec_cold_batch,
-       1e3 *
-           benchutil::TimePerCall(
-               [&] { Sink(SecureJoin::DecryptRowsBatch(token, cts)); }, 1,
-               0.0) /
-           rows);
-    mn(&t.dec_prep_per_row,
-       1e3 *
-           benchutil::TimePerCall(
-               [&] {
-                 for (const auto& row : prepared)
-                   Sink(SecureJoin::DecryptToDigestPrepared(token, row));
-               },
-               1, 0.0) /
-           rows);
-    mn(&t.dec_prep_batch,
-       1e3 *
-           benchutil::TimePerCall(
-               [&] {
-                 Sink(SecureJoin::DecryptRowsPreparedBatch(token, prepared));
-               },
-               1, 0.0) /
-           rows);
+  // Conservative floors: set well below typical measurements (lazy Fp12
+  // ~1.2x, cyclotomic ~1.5x, GLV ~1.3x) so only a real regression -- not
+  // scheduler noise -- trips them. The batch floors are no-regression
+  // guards, not speedup claims: the shared easy-part inversion is a few
+  // percent of a row (its value is bounded working sets at identical
+  // bytes), and this host's measurement noise exceeds that margin.
+  m.checks = {
+      {"fp12_lazy_mul", 1.02, fp12_mul_ref, fp12_mul},
+      {"cyclotomic_sqr", 1.10, fp12_sqr, cyclo_sqr},
+      {"g1_glv", 1.05, g1_wnaf, g1_glv},
+      {"batch_final_exp", 0.85, final_exp, final_exp_batch},
+      {"batch_dec_cold", 0.85, dec_cold_per_row, dec_cold_batch},
+      {"batch_dec_prepared", 0.85, dec_prep_per_row, dec_prep_batch},
+  };
+
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<bool> gated(qs.size(), false);
+    for (Check& c : m.checks) {
+      // A-B-B-A: a drift that is linear over the four timings adds the
+      // same to both arms' sums. A and B swap every round.
+      const size_t a = round % 2 == 0 ? c.ref : c.opt;
+      const size_t b = a == c.ref ? c.opt : c.ref;
+      double sum_a = qs[a].time(), sum_b = qs[b].time();
+      sum_b += qs[b].time();
+      sum_a += qs[a].time();
+      qs[a].samples.push_back(sum_a / 2);
+      qs[b].samples.push_back(sum_b / 2);
+      c.ratios.push_back(a == c.ref ? sum_a / sum_b : sum_b / sum_a);
+      gated[c.ref] = gated[c.opt] = true;
+    }
+    for (size_t i = 0; i < qs.size(); ++i) {
+      if (!gated[i]) qs[i].samples.push_back(qs[i].time());
+    }
   }
-  return t;
+  for (Quantity& qty : qs) *qty.slot = Median(qty.samples);
+  for (Check& c : m.checks) c.speedup = Median(c.ratios);
+  return m;
 }
 
 // --- Speedup floors (--json / CI) ---------------------------------------------
 
-struct Check {
-  const char* name;
-  double speedup;  // reference time / optimized time
-  double floor;
-};
-
-/// Conservative floors: each optimized path vs. its reference, measured
-/// interleaved in one process. Set well below typical measurements
-/// (lazy Fp12 ~1.2x, cyclotomic ~1.5x, GLV ~1.3x) so only a real
-/// regression -- not scheduler noise -- trips them. The batch floors are
-/// no-regression guards, not speedup claims: the shared easy-part
-/// inversion is a few percent of a row (its value is bounded working
-/// sets + chunk parallelism at identical bytes), and this host's
-/// measurement noise exceeds that margin.
-std::vector<Check> Checks(const Timings& t) {
-  return {
-      {"fp12_lazy_mul", t.fp12_mul_ref / t.fp12_mul, 1.02},
-      {"cyclotomic_sqr", t.fp12_sqr / t.cyclo_sqr, 1.10},
-      {"g1_glv", t.g1_wnaf / t.g1_glv, 1.05},
-      {"batch_final_exp", t.final_exp / t.final_exp_batch, 0.85},
-      {"batch_dec_cold", t.dec_cold_per_row / t.dec_cold_batch, 0.85},
-      {"batch_dec_prepared", t.dec_prep_per_row / t.dec_prep_batch, 0.85},
-  };
-}
-
 int JsonSummary() {
-  Timings t = Measure();
+  Measurement m = Measure();
+  const Timings& t = m.t;
   std::printf("{\n  \"bench\": \"ablation_pairing\",\n");
+  std::printf("  \"rounds\": %d,\n", kRounds);
   std::printf("  \"mont_accel\": %s,\n", mont_accel::kEnabled ? "true"
                                                               : "false");
   std::printf(
@@ -263,9 +322,12 @@ int JsonSummary() {
   bool ok = true;
   std::printf("  \"speedups\": {");
   bool first = true;
-  for (const Check& c : Checks(t)) {
-    std::printf("%s\n    \"%s\": {\"measured\": %.3f, \"floor\": %.2f}",
-                first ? "" : ",", c.name, c.speedup, c.floor);
+  for (const Check& c : m.checks) {
+    auto [lo, hi] = std::minmax_element(c.ratios.begin(), c.ratios.end());
+    std::printf(
+        "%s\n    \"%s\": {\"measured\": %.3f, \"round_min\": %.3f, "
+        "\"round_max\": %.3f, \"floor\": %.2f}",
+        first ? "" : ",", c.name, c.speedup, *lo, *hi, c.floor);
     first = false;
     if (c.speedup < c.floor) ok = false;
   }
@@ -308,7 +370,7 @@ void Report() {
   std::printf("montgomery backend: %s\n\n",
               mont_accel::kEnabled ? "bmi2/adx (runtime-dispatched)"
                                    : "scalar");
-  Timings t = Measure();
+  const Timings t = Measure().t;
   std::printf("%-28s %12s %12s %8s\n", "primitive", "optimized", "reference",
               "speedup");
   auto row = [](const char* name, double opt, double ref, const char* unit) {

@@ -126,31 +126,6 @@ Digest32 DigestOfGt(const GT& g) {
   return Sha256::Hash(bytes.data(), bytes.size());
 }
 
-// Shared chunking core of the two batch kernels: `miller(i)` produces row
-// i's Miller-loop accumulator; each chunk then runs one amortized
-// FinalExponentiationBatch. Chunks (not rows) are the unit of parallelism,
-// so the batch width also bounds each task's working set.
-template <typename MillerFn>
-std::vector<Digest32> DecryptBatchedImpl(size_t num_rows, int num_threads,
-                                         size_t batch_rows,
-                                         const MillerFn& miller) {
-  if (batch_rows == 0) batch_rows = 1;
-  std::vector<Digest32> out(num_rows);
-  const size_t num_chunks = (num_rows + batch_rows - 1) / batch_rows;
-  // ParallelFor resolves num_threads <= 0 to hardware concurrency, clamps
-  // the width to the chunk count, and runs small batches inline.
-  ThreadPool::Shared().ParallelFor(
-      num_chunks, num_threads, [&](size_t c) {
-        const size_t lo = c * batch_rows;
-        const size_t hi = std::min(lo + batch_rows, num_rows);
-        std::vector<Fp12> ml(hi - lo);
-        for (size_t i = lo; i < hi; ++i) ml[i - lo] = miller(i);
-        std::vector<Digest32> digests = SecureJoin::DigestMillerBatch(ml);
-        std::copy(digests.begin(), digests.end(), out.begin() + lo);
-      });
-  return out;
-}
-
 }  // namespace
 
 Fp12 SecureJoin::DecryptRowMiller(const SjToken& token,
@@ -172,6 +147,37 @@ std::vector<Digest32> SecureJoin::DigestMillerBatch(
   return out;
 }
 
+std::vector<Digest32> SecureJoin::DecryptBatched(
+    size_t n, int num_threads, const std::function<Fp12(size_t)>& miller,
+    size_t batch_rows) {
+  std::vector<Digest32> out(n);
+  if (n == 0) return out;
+  ThreadPool* pool = num_threads == 1 ? nullptr : &ThreadPool::Shared();
+  const size_t width = pool ? pool->Width(n, num_threads) : 1;
+  auto for_each = [&](size_t count, const std::function<void(size_t)>& fn) {
+    if (pool) {
+      pool->ParallelFor(count, num_threads, fn);
+    } else {
+      for (size_t i = 0; i < count; ++i) fn(i);
+    }
+  };
+  // Phase 1: one task per row -- a cache hit never waits behind a build
+  // that happens to share its chunk.
+  std::vector<Fp12> millers(n);
+  for_each(n, [&](size_t i) { millers[i] = miller(i); });
+  // Phase 2: about one chunk per executor, none wider than batch_rows.
+  const size_t chunk =
+      std::max<size_t>(1, std::min(batch_rows, (n + width - 1) / width));
+  const std::span<const Fp12> all(millers);
+  for_each((n + chunk - 1) / chunk, [&](size_t c) {
+    const size_t lo = c * chunk;
+    std::vector<Digest32> digests =
+        DigestMillerBatch(all.subspan(lo, std::min(chunk, n - lo)));
+    std::copy(digests.begin(), digests.end(), out.begin() + lo);
+  });
+  return out;
+}
+
 std::vector<Digest32> SecureJoin::DecryptRows(
     const SjToken& token, std::span<const SjRowCiphertext> rows,
     int num_threads) {
@@ -181,11 +187,10 @@ std::vector<Digest32> SecureJoin::DecryptRows(
 std::vector<Digest32> SecureJoin::DecryptRowsBatch(
     const SjToken& token, std::span<const SjRowCiphertext> rows,
     int num_threads, size_t batch_rows) {
-  return DecryptBatchedImpl(rows.size(), num_threads, batch_rows,
-                            [&](size_t i) {
-                              return ModifiedIpe::DecryptMiller(token.tk,
-                                                                rows[i].c);
-                            });
+  return DecryptBatched(
+      rows.size(), num_threads,
+      [&](size_t i) { return ModifiedIpe::DecryptMiller(token.tk, rows[i].c); },
+      batch_rows);
 }
 
 std::vector<Digest32> SecureJoin::DecryptRowsPrepared(
@@ -197,11 +202,12 @@ std::vector<Digest32> SecureJoin::DecryptRowsPrepared(
 std::vector<Digest32> SecureJoin::DecryptRowsPreparedBatch(
     const SjToken& token, std::span<const SjPreparedRow> rows,
     int num_threads, size_t batch_rows) {
-  return DecryptBatchedImpl(rows.size(), num_threads, batch_rows,
-                            [&](size_t i) {
-                              return ModifiedIpe::DecryptMillerPrepared(
-                                  token.tk, rows[i].c);
-                            });
+  return DecryptBatched(
+      rows.size(), num_threads,
+      [&](size_t i) {
+        return ModifiedIpe::DecryptMillerPrepared(token.tk, rows[i].c);
+      },
+      batch_rows);
 }
 
 namespace {

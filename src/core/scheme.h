@@ -17,6 +17,7 @@
 #ifndef SJOIN_CORE_SCHEME_H_
 #define SJOIN_CORE_SCHEME_H_
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -105,25 +106,38 @@ class SecureJoin {
   static Digest32 DecryptToDigest(const SjToken& token,
                                   const SjRowCiphertext& ct);
 
-  /// Default row-batch width of the batched decrypt kernel: matches the
-  /// server's per-task row granularity, and at 8 rows the shared Fp12
-  /// inversion of the batched final exponentiation is already ~1/8 of the
-  /// per-row inversion bill (diminishing returns beyond).
+  /// Widest final-exponentiation chunk of the batched decrypt kernel: at
+  /// 8 rows the shared Fp12 inversion is already ~1/8 of the per-row
+  /// inversion bill (diminishing returns beyond).
   static constexpr size_t kDefaultDecryptBatchRows = 8;
 
+  /// The batched SJ.Dec kernel behind every decrypt path (DecryptRows*,
+  /// the server's series passes, the shard worker). Two phases:
+  ///  1. Miller phase: one ParallelFor over the rows, so the pool balances
+  ///     rows, not chunks. miller(i) returns row i's Miller-loop
+  ///     accumulator; the caller picks cold, prepared or cached per row.
+  ///  2. Final-exponentiation phase: one ParallelFor over chunks of
+  ///     min(batch_rows, ceil(n / width)) rows, where width is the pool
+  ///     width of phase 1; each chunk shares one Fp12 inversion
+  ///     (DigestMillerBatch).
+  /// Inverses are unique, so digest i equals the per-row DecryptToDigest
+  /// of row i byte for byte under any width or chunking. num_threads <= 0
+  /// means hardware concurrency; num_threads == 1 runs inline on the
+  /// calling thread and never touches the shared pool. batch_rows == 0
+  /// means 1. `miller` must be safe to call from several threads at once.
+  static std::vector<Digest32> DecryptBatched(
+      size_t n, int num_threads, const std::function<Fp12(size_t)>& miller,
+      size_t batch_rows = kDefaultDecryptBatchRows);
+
   /// Parallel bulk decryption (num_threads <= 0 means hardware concurrency).
-  /// Routes through the batched kernel (DecryptRowsBatch); element-wise
+  /// Routes through the batched kernel (DecryptBatched); element-wise
   /// byte-identical to per-row DecryptToDigest.
   static std::vector<Digest32> DecryptRows(
       const SjToken& token, std::span<const SjRowCiphertext> rows,
       int num_threads = 1);
 
-  /// Batched SJ.Dec kernel: rows are decrypted in chunks of `batch_rows`;
-  /// each chunk runs its Miller loops per row, then one
-  /// FinalExponentiationBatch call shares a single Fp12 inversion across
-  /// the chunk's easy parts. Inverses are unique, so every digest equals
-  /// the per-row DecryptToDigest output byte for byte; chunks are
-  /// distributed over the thread pool.
+  /// DecryptBatched over cold rows, final exponentiation in chunks of at
+  /// most `batch_rows` rows; byte-identical to per-row DecryptToDigest.
   static std::vector<Digest32> DecryptRowsBatch(
       const SjToken& token, std::span<const SjRowCiphertext> rows,
       int num_threads = 1, size_t batch_rows = kDefaultDecryptBatchRows);
@@ -152,9 +166,9 @@ class SecureJoin {
       int num_threads = 1, size_t batch_rows = kDefaultDecryptBatchRows);
 
   /// Miller-loop half of SJ.Dec for one row (pre-final-exponentiation
-  /// accumulator). Building blocks for callers whose rows mix cold and
-  /// prepared paths (the server's cache-aware decrypt loops): collect one
-  /// Fp12 per row from either variant, then DigestMillerBatch.
+  /// accumulator). The per-row callbacks of DecryptBatched for callers
+  /// whose rows mix cold and prepared paths (the server's cache-aware
+  /// passes).
   static Fp12 DecryptRowMiller(const SjToken& token,
                                const SjRowCiphertext& ct);
   static Fp12 DecryptRowMillerPrepared(const SjToken& token,

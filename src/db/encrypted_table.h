@@ -174,6 +174,14 @@ struct ShardExecStats {
   size_t prepared_rows_built = 0;  // prepared rows built in this partition
   size_t prepared_cache_hits = 0;  // served warm from this partition
   bool operator==(const ShardExecStats&) const = default;
+  ShardExecStats& operator+=(const ShardExecStats& o) {
+    decrypts_performed += o.decrypts_performed;
+    pairings_computed += o.pairings_computed;
+    prepared_pairings += o.prepared_pairings;
+    prepared_rows_built += o.prepared_rows_built;
+    prepared_cache_hits += o.prepared_cache_hits;
+    return *this;
+  }
 };
 
 /// Series-level accounting: how much SJ.Dec work the batch needed and how

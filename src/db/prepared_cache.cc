@@ -155,4 +155,35 @@ PreparedRowCache::Stats PreparedRowCache::stats() const {
   return s;
 }
 
+Fp12 CachedRowMiller(PreparedRowCache* cache, const std::string& table,
+                     uint64_t row_id, const SjRowCiphertext& ct,
+                     const SjToken& token, MillerPath* path) {
+  bool built = false;
+  std::shared_ptr<const SjPreparedRow> prep =
+      cache ? cache->Get(table, row_id, ct, &built) : nullptr;
+  if (!prep) {
+    *path = MillerPath::kCold;
+    return SecureJoin::DecryptRowMiller(token, ct);
+  }
+  *path = built ? MillerPath::kBuilt : MillerPath::kHit;
+  return SecureJoin::DecryptRowMillerPrepared(token, *prep);
+}
+
+void CountMillerPath(MillerPath path, ShardExecStats* stats) {
+  ++stats->decrypts_performed;
+  switch (path) {
+    case MillerPath::kCold:
+      ++stats->pairings_computed;
+      break;
+    case MillerPath::kBuilt:
+      ++stats->prepared_pairings;
+      ++stats->prepared_rows_built;
+      break;
+    case MillerPath::kHit:
+      ++stats->prepared_pairings;
+      ++stats->prepared_cache_hits;
+      break;
+  }
+}
+
 }  // namespace sjoin

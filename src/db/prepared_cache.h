@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "core/scheme.h"
+#include "db/encrypted_table.h"  // ShardExecStats
 
 namespace sjoin {
 
@@ -146,6 +147,21 @@ class PreparedRowCache {
   std::atomic<uint64_t> evicted_{0};
   std::atomic<uint64_t> rejected_{0};
 };
+
+/// Which way one row's Miller loop went in a cache-aware SJ.Dec pass.
+enum class MillerPath : uint8_t { kCold, kBuilt, kHit };
+
+/// Row `row_id`'s Miller accumulator under `token`: from its prepared form
+/// when `cache` admits the row (built on first touch), cold when it does
+/// not or `cache` is nullptr. The per-row callback the server and the
+/// shard worker hand to SecureJoin::DecryptBatched; `*path` records the
+/// way it went, for CountMillerPath once the pass is done.
+Fp12 CachedRowMiller(PreparedRowCache* cache, const std::string& table,
+                     uint64_t row_id, const SjRowCiphertext& ct,
+                     const SjToken& token, MillerPath* path);
+
+/// Adds one decrypted row, which went `path`, to `stats`.
+void CountMillerPath(MillerPath path, ShardExecStats* stats);
 
 }  // namespace sjoin
 

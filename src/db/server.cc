@@ -1,7 +1,6 @@
 #include "db/server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -10,7 +9,6 @@
 
 #include "db/wire.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace sjoin {
 namespace {
@@ -42,7 +40,25 @@ Digest32 TokenFingerprint(const SjToken& token) {
   return Sha256::Hash(w.bytes());
 }
 
+/// Adds one shard's (or a whole pass's) SJ.Dec counters to the series
+/// totals. decrypts_performed is not added: BuildSeriesPlan already set it.
+void AddDecryptCounts(const ShardExecStats& s, SeriesExecStats* out) {
+  out->pairings_computed += s.pairings_computed;
+  out->prepared_pairings += s.prepared_pairings;
+  out->prepared_rows_built += s.prepared_rows_built;
+  out->prepared_cache_hits += s.prepared_cache_hits;
+}
+
 }  // namespace
+
+/// One (table, token) decryption unit of a series: the lazily filled
+/// digest vector, indexed by row position within the snapshot.
+struct EncryptedServer::DecryptUnit {
+  const EncryptedTable* table = nullptr;
+  const std::vector<StableRowId>* row_ids = nullptr;
+  const SjToken* token = nullptr;
+  std::vector<std::optional<Digest32>> digests;
+};
 
 /// Execution state shared by the unsharded and sharded series paths:
 /// resolved per-query plans and the deduplicated (table, token) decrypt
@@ -58,22 +74,14 @@ Digest32 TokenFingerprint(const SjToken& token) {
 /// mutation-proof cache keys and leakage identities. The state is local
 /// to one Execute* call -- concurrent series share nothing through it.
 struct EncryptedServer::SeriesPlanState {
-  /// One (table, token) decryption unit of a series: the lazily filled
-  /// digest vector, indexed by row position within the snapshot.
-  struct Unit {
-    const EncryptedTable* table = nullptr;
-    const std::vector<StableRowId>* row_ids = nullptr;
-    const SjToken* token = nullptr;
-    std::vector<std::optional<Digest32>> digests;
-  };
   struct QueryPlan {
     const EncryptedTable* a = nullptr;
     const EncryptedTable* b = nullptr;
     const std::vector<StableRowId>* ids_a = nullptr;
     const std::vector<StableRowId>* ids_b = nullptr;
     std::vector<size_t> sel_a, sel_b;
-    Unit* unit_a = nullptr;
-    Unit* unit_b = nullptr;
+    DecryptUnit* unit_a = nullptr;
+    DecryptUnit* unit_b = nullptr;
     /// Which backend answers this query (adaptive dispatch). On a fast
     /// backend the digests below are filled at plan time and the query
     /// registers no decrypt units -- it costs no pairings at all.
@@ -84,102 +92,56 @@ struct EncryptedServer::SeriesPlanState {
   /// One generation per table name for the whole batch.
   std::map<std::string, TableStore::Snapshot> snapshots;
   std::vector<QueryPlan> plans;
-  std::map<std::pair<std::string, Digest32>, std::unique_ptr<Unit>> units;
+  std::map<std::pair<std::string, Digest32>, std::unique_ptr<DecryptUnit>> units;
   /// Every (unit, row position) the batch must decrypt, dedup applied.
-  std::vector<std::pair<Unit*, size_t>> pending;
+  std::vector<std::pair<DecryptUnit*, size_t>> pending;
 };
 
-/// One (decrypt-unit x shard) slice of the batched SJ.Dec pass: the
-/// pending rows of one unit that hash to one shard. The local sharded
-/// path chunks these further for pool granularity; the delegated path
-/// ships each as one worker RPC.
+/// One (decrypt-unit x shard) slice of the delegated SJ.Dec pass: the
+/// pending rows of one unit that hash to one placement shard, shipped as
+/// one worker RPC.
 struct EncryptedServer::ShardWorkUnit {
-  SeriesPlanState::Unit* unit = nullptr;
+  DecryptUnit* unit = nullptr;
   size_t shard = 0;
   std::vector<size_t> rows;  ///< positions within the unit's snapshot
 };
 
 std::vector<EncryptedServer::ShardWorkUnit> EncryptedServer::BuildShardUnits(
     const SeriesPlanState& state,
-    const std::function<size_t(const EncryptedTable*, size_t)>& shard_of,
-    size_t rows_per_chunk) {
+    const std::function<size_t(const EncryptedTable*, size_t)>& shard_of) {
   std::vector<ShardWorkUnit> groups;
-  {
-    std::map<std::pair<const SeriesPlanState::Unit*, size_t>, size_t> index;
-    for (const auto& [unit, row] : state.pending) {
-      size_t shard = shard_of(unit->table, row);
-      auto key = std::make_pair(
-          static_cast<const SeriesPlanState::Unit*>(unit), shard);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        it = index.emplace(key, groups.size()).first;
-        groups.push_back(ShardWorkUnit{unit, shard, {}});
-      }
-      groups[it->second].rows.push_back(row);
+  std::map<std::pair<const DecryptUnit*, size_t>, size_t> index;
+  for (const auto& [unit, row] : state.pending) {
+    size_t shard = shard_of(unit->table, row);
+    auto key =
+        std::make_pair(static_cast<const DecryptUnit*>(unit), shard);
+    auto it = index.find(key);
+    if (it == index.end()) {
+      it = index.emplace(key, groups.size()).first;
+      groups.push_back(ShardWorkUnit{unit, shard, {}});
     }
+    groups[it->second].rows.push_back(row);
   }
-  if (rows_per_chunk == 0) return groups;
-  std::vector<ShardWorkUnit> work;
-  for (ShardWorkUnit& group : groups) {
-    for (size_t off = 0; off < group.rows.size(); off += rows_per_chunk) {
-      ShardWorkUnit chunk;
-      chunk.unit = group.unit;
-      chunk.shard = group.shard;
-      chunk.rows.assign(
-          group.rows.begin() + off,
-          group.rows.begin() +
-              std::min(off + rows_per_chunk, group.rows.size()));
-      work.push_back(std::move(chunk));
-    }
-  }
-  return work;
+  return groups;
 }
 
-void EncryptedServer::MergeShardDigests(const ShardWorkUnit& wu,
-                                        const std::vector<Digest32>& digests) {
-  SJOIN_CHECK(digests.size() == wu.rows.size());
-  for (size_t i = 0; i < wu.rows.size(); ++i) {
-    wu.unit->digests[wu.rows[i]] = digests[i];
+void EncryptedServer::DecryptPass(
+    const std::vector<std::pair<DecryptUnit*, size_t>>& rows, int num_threads,
+    const std::function<PreparedRowCache*(size_t)>& cache_of,
+    const std::function<ShardExecStats*(size_t)>& stats_of) {
+  std::vector<MillerPath> paths(rows.size());
+  std::vector<Digest32> digests = SecureJoin::DecryptBatched(
+      rows.size(), num_threads, [&](size_t i) {
+        const auto [unit, row] = rows[i];
+        return CachedRowMiller(cache_of(i), unit->table->name,
+                               (*unit->row_ids)[row],
+                               unit->table->rows[row].sj, *unit->token,
+                               &paths[i]);
+      });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].first->digests[rows[i].second] = digests[i];
+    CountMillerPath(paths[i], stats_of(i));
   }
-}
-
-std::vector<Digest32> EncryptedServer::DecryptShardRows(
-    const ShardWorkUnit& wu, const std::vector<size_t>& rows,
-    PreparedRowCache* cache, size_t batch_rows, ShardExecStats* stats) {
-  // One batched final exponentiation per batch_rows rows; byte-identical
-  // to the per-row path (see FinalExponentiationBatch).
-  const size_t batch = std::max<size_t>(1, batch_rows);
-  const SeriesPlanState::Unit& unit = *wu.unit;
-  std::vector<Digest32> digests;
-  digests.reserve(rows.size());
-  std::vector<Fp12> millers;
-  millers.reserve(std::min(batch, rows.size()));
-  auto flush = [&] {
-    std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-    digests.insert(digests.end(), d.begin(), d.end());
-    millers.clear();
-  };
-  for (size_t row : rows) {
-    const SjRowCiphertext& ct = unit.table->rows[row].sj;
-    std::shared_ptr<const SjPreparedRow> prep;
-    bool built = false;
-    if (cache) {
-      prep = cache->Get(unit.table->name, (*unit.row_ids)[row], ct, &built);
-    }
-    if (prep) {
-      millers.push_back(
-          SecureJoin::DecryptRowMillerPrepared(*unit.token, *prep));
-      ++(built ? stats->prepared_rows_built : stats->prepared_cache_hits);
-      ++stats->prepared_pairings;
-    } else {
-      millers.push_back(SecureJoin::DecryptRowMiller(*unit.token, ct));
-      ++stats->pairings_computed;
-    }
-    ++stats->decrypts_performed;
-    if (millers.size() >= batch) flush();
-  }
-  if (!millers.empty()) flush();
-  return digests;
 }
 
 Status EncryptedServer::StoreTable(EncryptedTable table) {
@@ -452,12 +414,12 @@ Status EncryptedServer::BuildSeriesPlan(const QuerySeriesTokens& series,
   // call only and its units point into the step-0 snapshots, so its row
   // positions can never mix generations.
   auto unit_for = [&](const SeriesPlanState::QueryPlan& plan, bool side_a,
-                      const SjToken& token) -> SeriesPlanState::Unit* {
+                      const SjToken& token) -> DecryptUnit* {
     const EncryptedTable& t = side_a ? *plan.a : *plan.b;
     auto key = std::make_pair(t.name, TokenFingerprint(token));
     auto it = state->units.find(key);
     if (it == state->units.end()) {
-      auto unit = std::make_unique<SeriesPlanState::Unit>();
+      auto unit = std::make_unique<DecryptUnit>();
       unit->table = &t;
       unit->row_ids = side_a ? plan.ids_a : plan.ids_b;
       unit->token = &token;
@@ -468,8 +430,8 @@ Status EncryptedServer::BuildSeriesPlan(const QuerySeriesTokens& series,
   };
   // Marks `sel` rows of a unit for decryption; already-marked rows are
   // cache hits (the digest is computed once for the whole series).
-  std::map<const SeriesPlanState::Unit*, std::vector<char>> scheduled;
-  auto request_rows = [&](SeriesPlanState::Unit* unit,
+  std::map<const DecryptUnit*, std::vector<char>> scheduled;
+  auto request_rows = [&](DecryptUnit* unit,
                           const std::vector<size_t>& sel) {
     std::vector<char>& marks = scheduled[unit];
     marks.resize(unit->digests.size());
@@ -507,7 +469,7 @@ void EncryptedServer::FinishSeries(SeriesPlanState& state,
   // transitive closure itself).
   Stopwatch match_watch;
   // Digests of `sel` rows out of a fully computed unit, in selection order.
-  auto gather = [](const SeriesPlanState::Unit& unit,
+  auto gather = [](const DecryptUnit& unit,
                    const std::vector<size_t>& sel) {
     std::vector<Digest32> digests;
     digests.reserve(sel.size());
@@ -595,7 +557,8 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
 
   // 3. One batched SJ.Dec pass over every pending (unit, row) of the
   // series on the shared pool -- the expensive pairings of all queries are
-  // scheduled together instead of query by query. Each decryption first
+  // scheduled together instead of query by query, one pool task per row's
+  // Miller loop (SecureJoin::DecryptBatched). Each decryption first
   // consults the server's prepared-row cache: a row touched before (by an
   // earlier query of this series under a different token, or by a previous
   // series) decrypts via line evaluation alone, and a first-touch row is
@@ -605,53 +568,16 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
   // written by one generation stay valid for every later generation the
   // row survives into.
   Stopwatch decrypt_watch;
+  PreparedRowCache* cache = nullptr;
   if (opts.prepared_cache_bytes > 0) {
     prepared_cache_.set_max_bytes(opts.prepared_cache_bytes);
+    cache = &prepared_cache_;
   }
-  std::atomic<size_t> pairings_cold{0};
-  std::atomic<size_t> prepared_built{0};
-  std::atomic<size_t> prepared_hits{0};
-  // Chunked by opts.decrypt_batch_rows: each chunk's rows run their Miller
-  // loops (cold or prepared, per the cache), then one batched final
-  // exponentiation serves the whole chunk (byte-identical per row; see
-  // FinalExponentiationBatch). Chunks are the unit of pool parallelism.
-  const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-  const size_t num_chunks = (state.pending.size() + batch - 1) / batch;
-  ThreadPool::Shared().ParallelFor(
-      num_chunks, opts.num_threads, [&](size_t c) {
-        const size_t lo = c * batch;
-        const size_t hi = std::min(lo + batch, state.pending.size());
-        std::vector<Fp12> millers;
-        millers.reserve(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          auto [unit, row] = state.pending[i];
-          const SjRowCiphertext& ct = unit->table->rows[row].sj;
-          std::shared_ptr<const SjPreparedRow> prep;
-          bool built = false;
-          if (opts.prepared_cache_bytes > 0) {
-            prep = prepared_cache_.Get(unit->table->name,
-                                       (*unit->row_ids)[row], ct, &built);
-          }
-          if (prep) {
-            millers.push_back(
-                SecureJoin::DecryptRowMillerPrepared(*unit->token, *prep));
-            (built ? prepared_built : prepared_hits).fetch_add(1);
-          } else {
-            millers.push_back(SecureJoin::DecryptRowMiller(*unit->token, ct));
-            pairings_cold.fetch_add(1);
-          }
-        }
-        std::vector<Digest32> digests = SecureJoin::DigestMillerBatch(millers);
-        for (size_t i = lo; i < hi; ++i) {
-          auto [unit, row] = state.pending[i];
-          unit->digests[row] = digests[i - lo];
-        }
-      });
-  out.stats.pairings_computed = pairings_cold.load();
-  out.stats.prepared_rows_built = prepared_built.load();
-  out.stats.prepared_cache_hits = prepared_hits.load();
-  out.stats.prepared_pairings =
-      out.stats.prepared_rows_built + out.stats.prepared_cache_hits;
+  ShardExecStats counts;
+  DecryptPass(
+      state.pending, opts.num_threads, [&](size_t) { return cache; },
+      [&](size_t) { return &counts; });
+  AddDecryptCounts(counts, &out.stats);
   out.stats.decrypt_seconds = decrypt_watch.Seconds();
 
   FinishSeries(state, opts, &out);
@@ -728,25 +654,20 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
     }
   }
 
-  // 3 (sharded). Group the pending decryptions into (shard x unit) work
-  // units: rows of one unit that hash to one shard. Tables smaller than K
-  // are partitioned ClampShardCount(rows, K) ways, so their work lands on
-  // the low shard ids only. Each work unit decrypts through its shard's
-  // own prepared-row cache partition -- two hot shards never contend on
-  // one LRU lock, and a scan evicting one partition cannot cool the
-  // others. Large work units are subdivided into ~8-row chunks (tens of
-  // ms of pairings: coarse enough that task overhead is noise, fine
-  // enough that stragglers cannot idle the pool), so parallelism stays
-  // bounded by pending rows rather than by K x units (a K=1 series over
-  // one big table must still use every thread).
+  // 3 (sharded). One batched SJ.Dec pass over every pending row, each
+  // row routed to the shard its table's partition view puts it in. Tables
+  // smaller than K are partitioned ClampShardCount(rows, K) ways, so their
+  // rows land on the low shard ids only. Each row decrypts through its
+  // shard's own prepared-row cache partition -- two hot shards never
+  // contend on one LRU lock, and a scan evicting one partition cannot
+  // cool the others -- while the pass itself schedules rows, not shards,
+  // so a K=1 series over one big table still uses every thread.
   Stopwatch decrypt_watch;
-  constexpr size_t kRowsPerTask = 8;
-  std::vector<ShardWorkUnit> work = BuildShardUnits(
-      state,
-      [&](const EncryptedTable* t, size_t row) {
-        return views.at(t)->shard_of(row);
-      },
-      kRowsPerTask);
+  std::vector<size_t> shard_of_row(state.pending.size());
+  for (size_t i = 0; i < state.pending.size(); ++i) {
+    const auto [unit, row] = state.pending[i];
+    shard_of_row[i] = views.at(unit->table)->shard_of(row);
+  }
 
   // Per-shard cache partitions, each with an even split of the byte
   // budget. A different K than last time republishes a fresh partition
@@ -755,7 +676,8 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
   // keeps it alive via its own shared_ptr -- superseded partitions are
   // cold for it, never wrong. The unsharded prepared_cache_ is untouched
   // either way.
-  const bool use_prepared = opts.prepared_cache_bytes > 0 && !work.empty();
+  const bool use_prepared =
+      opts.prepared_cache_bytes > 0 && !state.pending.empty();
   std::shared_ptr<ShardCacheSet> caches;
   if (use_prepared) {
     size_t per_shard = opts.prepared_cache_bytes / k;
@@ -772,34 +694,16 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
     caches = shard_caches_;
   }
 
-  std::mutex stats_mu;
-  ThreadPool::Shared().ParallelFor(
-      work.size(), opts.num_threads, [&](size_t wi) {
-        const ShardWorkUnit& wu = work[wi];
-        PreparedRowCache* cache =
-            use_prepared ? (*caches)[wu.shard].get() : nullptr;
-        ShardExecStats local;
-        // Work units are already kRowsPerTask-sized, so most form a
-        // single final-exponentiation batch.
-        MergeShardDigests(wu, DecryptShardRows(wu, wu.rows, cache,
-                                               opts.decrypt_batch_rows,
-                                               &local));
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ShardExecStats& merged = out.stats.shard_stats[wu.shard];
-        merged.decrypts_performed += local.decrypts_performed;
-        merged.pairings_computed += local.pairings_computed;
-        merged.prepared_pairings += local.prepared_pairings;
-        merged.prepared_rows_built += local.prepared_rows_built;
-        merged.prepared_cache_hits += local.prepared_cache_hits;
-      });
-  // Merge the per-shard counters into the series totals the existing wire
-  // fields carry; the invariant "totals == per-shard sums" is asserted by
-  // tests/shard_test.cc.
+  DecryptPass(
+      state.pending, opts.num_threads,
+      [&](size_t i) {
+        return use_prepared ? (*caches)[shard_of_row[i]].get() : nullptr;
+      },
+      [&](size_t i) { return &out.stats.shard_stats[shard_of_row[i]]; });
+  // The series totals the existing wire fields carry are the per-shard
+  // sums (asserted by tests/shard_test.cc).
   for (const ShardExecStats& s : out.stats.shard_stats) {
-    out.stats.pairings_computed += s.pairings_computed;
-    out.stats.prepared_pairings += s.prepared_pairings;
-    out.stats.prepared_rows_built += s.prepared_rows_built;
-    out.stats.prepared_cache_hits += s.prepared_cache_hits;
+    AddDecryptCounts(s, &out.stats);
   }
   out.stats.decrypt_seconds = decrypt_watch.Seconds();
 
@@ -826,17 +730,15 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
   out.stats.shards = series.queries.empty() ? 0 : k;
   out.stats.shard_stats.assign(out.stats.shards, ShardExecStats{});
 
-  // One slice per (unit x shard): rows_per_chunk = 0 disables the local
-  // path's ~8-row chunking. Worker round-trip latency dominates task
-  // granularity here, and fewer, bigger requests amortize the framing.
+  // One slice per (unit x shard): worker round-trip latency dominates
+  // task granularity here, and fewer, bigger requests amortize the
+  // framing.
   Stopwatch decrypt_watch;
-  std::vector<ShardWorkUnit> work = BuildShardUnits(
-      state,
-      [&](const EncryptedTable* t, size_t row) {
+  std::vector<ShardWorkUnit> work =
+      BuildShardUnits(state, [&](const EncryptedTable* t, size_t row) {
         return ShardedTable::ShardOfDigest(
             ShardedTable::RowDigest(t->rows[row]), k);
-      },
-      /*rows_per_chunk=*/0);
+      });
 
   // The whole pass goes to the delegate at once, so it can put every
   // slice in flight before it waits for the first answer.
@@ -859,84 +761,54 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
   }
   for (const auto& resp : resps) SJOIN_RETURN_IF_ERROR(resp.status());
 
-  std::mutex merge_mu;
-  Status first_error;
+  // Merge the answers by original row position, collecting the rows a
+  // slice lacks (a mutation slice its worker missed while down, or every
+  // replica of the shard unreachable -- the coordinator then answers an
+  // all-zero bitmap) with the shard they count against.
+  std::vector<std::pair<DecryptUnit*, size_t>> missing;
+  std::vector<size_t> missing_shard;
+  for (size_t wi = 0; wi < work.size(); ++wi) {
+    const ShardWorkUnit& wu = work[wi];
+    const ShardDecryptResponse& resp = *resps[wi];
+    const std::string& table = reqs[wi].table;
+    if (resp.have.size() != wu.rows.size()) {
+      return Status::Internal(
+          "shard decrypt response for table '" + table + "' answers " +
+          std::to_string(resp.have.size()) + " rows, requested " +
+          std::to_string(wu.rows.size()));
+    }
+    size_t next = 0;
+    for (size_t i = 0; i < wu.rows.size(); ++i) {
+      if (!resp.have[i]) {
+        missing.emplace_back(wu.unit, wu.rows[i]);
+        missing_shard.push_back(wu.shard);
+      } else if (next < resp.digests.size()) {
+        wu.unit->digests[wu.rows[i]] = resp.digests[next++];
+      } else {
+        return Status::Internal(
+            "shard decrypt response for table '" + table +
+            "' has fewer digests than its presence bitmap claims");
+      }
+    }
+    if (next != resp.digests.size()) {
+      return Status::Internal(
+          "shard decrypt response for table '" + table +
+          "' has more digests than its presence bitmap claims");
+    }
+    out.stats.shard_stats[wu.shard] += resp.stats;
+  }
+
+  // The pinned snapshot still holds every missing row, so one local pass
+  // decrypts them all, prepared-line cache included -- SJ.Dec sees only
+  // (ciphertext, token), so the digests are identical to what a worker
+  // would have answered.
   PreparedRowCache* cache =
       opts.prepared_cache_bytes > 0 ? &prepared_cache_ : nullptr;
-  ThreadPool::Shared().ParallelFor(
-      work.size(), opts.num_threads, [&](size_t wi) {
-        const ShardWorkUnit& wu = work[wi];
-        const ShardDecryptResponse& resp = *resps[wi];
-        const std::string& table = reqs[wi].table;
-        Status err;
-        ShardExecStats local = resp.stats;
-        std::vector<Digest32> digests(wu.rows.size());
-        std::vector<size_t> missing;  // indices into wu.rows
-        if (resp.have.size() != wu.rows.size()) {
-          err = Status::Internal(
-              "shard decrypt response for table '" + table + "' answers " +
-              std::to_string(resp.have.size()) + " rows, requested " +
-              std::to_string(wu.rows.size()));
-        } else {
-          size_t next = 0;
-          for (size_t i = 0; i < wu.rows.size(); ++i) {
-            if (!resp.have[i]) {
-              missing.push_back(i);
-            } else if (next < resp.digests.size()) {
-              digests[i] = resp.digests[next++];
-            } else {
-              err = Status::Internal(
-                  "shard decrypt response for table '" + table +
-                  "' has fewer digests than its presence bitmap claims");
-              break;
-            }
-          }
-          if (err.ok() && next != resp.digests.size()) {
-            err = Status::Internal(
-                "shard decrypt response for table '" + table +
-                "' has more digests than its presence bitmap claims");
-          }
-        }
-        if (err.ok() && !missing.empty()) {
-          // Rows the worker does not hold (a mutation slice it missed
-          // while down, or every replica of the shard unreachable -- the
-          // coordinator then answers an all-zero bitmap). The pinned
-          // snapshot still holds them, so decrypt locally through the
-          // resident paths' kernel, prepared-line cache included -- SJ.Dec
-          // sees only (ciphertext, token), so the digests are identical
-          // to what the worker would have answered.
-          std::vector<size_t> rows;
-          rows.reserve(missing.size());
-          for (size_t i : missing) rows.push_back(wu.rows[i]);
-          std::vector<Digest32> d = DecryptShardRows(
-              wu, rows, cache, opts.decrypt_batch_rows, &local);
-          for (size_t j = 0; j < missing.size(); ++j) {
-            digests[missing[j]] = d[j];
-          }
-        }
-        if (err.ok()) {
-          // Work units partition the pending rows, so sibling merges
-          // never overlap; no lock needed for the digest write-back.
-          MergeShardDigests(wu, digests);
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        if (!err.ok()) {
-          if (first_error.ok()) first_error = err;
-          return;
-        }
-        ShardExecStats& merged = out.stats.shard_stats[wu.shard];
-        merged.decrypts_performed += local.decrypts_performed;
-        merged.pairings_computed += local.pairings_computed;
-        merged.prepared_pairings += local.prepared_pairings;
-        merged.prepared_rows_built += local.prepared_rows_built;
-        merged.prepared_cache_hits += local.prepared_cache_hits;
-      });
-  if (!first_error.ok()) return first_error;
+  DecryptPass(
+      missing, opts.num_threads, [&](size_t) { return cache; },
+      [&](size_t i) { return &out.stats.shard_stats[missing_shard[i]]; });
   for (const ShardExecStats& s : out.stats.shard_stats) {
-    out.stats.pairings_computed += s.pairings_computed;
-    out.stats.prepared_pairings += s.prepared_pairings;
-    out.stats.prepared_rows_built += s.prepared_rows_built;
-    out.stats.prepared_cache_hits += s.prepared_cache_hits;
+    AddDecryptCounts(s, &out.stats);
   }
   out.stats.decrypt_seconds = decrypt_watch.Seconds();
 

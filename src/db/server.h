@@ -65,11 +65,6 @@ struct ServerExecOptions {
   /// Cost constants the executor compares backends with; defaults are
   /// calibrated from `bench_sec65_comparison --json` (docs/TUNING.md).
   BackendCostModel cost_model{};
-  /// Rows per batched-final-exponentiation chunk in the SJ.Dec pass (also
-  /// the unit of thread-pool parallelism on the unsharded path). Byte-
-  /// identical for any value; 0 degrades to per-row final exponentiation.
-  /// See docs/TUNING.md.
-  size_t decrypt_batch_rows = SecureJoin::kDefaultDecryptBatchRows;
 };
 
 class EncryptedServer {
@@ -126,11 +121,11 @@ class EncryptedServer {
 
   /// ExecuteJoinSeries over hash-partitioned tables: every referenced
   /// table is split into K shards by row-digest hash (ShardedTable), the
-  /// batched SJ.Dec pass is scheduled as (shard x decrypt-unit) work
-  /// units (row-chunked, so parallelism is bounded by pending rows, not
-  /// by K) on the shared ThreadPool, and each shard decrypts through its
-  /// own prepared-row cache partition -- so eviction pressure and warm-up
-  /// progress on one hot shard never stall the others. Digests are merged
+  /// batched SJ.Dec pass runs on the shared ThreadPool with its Miller
+  /// loops scheduled per row (so parallelism is bounded by pending rows,
+  /// not by K), and each row decrypts through its shard's own prepared-row
+  /// cache partition -- so eviction pressure and warm-up progress on one
+  /// hot shard never stall the others. Digests are merged
   /// back by original row index before SJ.Match, which makes the results
   /// bit-identical to the unsharded path (asserted by tests/shard_test.cc
   /// and tests/series_test.cc); only the stats gain a per-shard breakdown
@@ -154,8 +149,8 @@ class EncryptedServer {
   /// ExecuteJoinSeriesSharded with the SJ.Dec pass delegated as one
   /// batch of slices: planning, dedup, SJ.Match, leakage and budget
   /// accounting all run locally against this server's pinned snapshots,
-  /// and only the pairing work goes through `decrypt`; merging the
-  /// answers (and any local-fallback decrypts) runs on the shared pool
+  /// and only the pairing work goes through `decrypt`; the rows no
+  /// answer holds are decrypted locally in one pass on the shared pool
   /// under opts.num_threads. Rows are routed to placement
   /// shards by ShardedTable::ShardOfDigest under a FIXED width
   /// `placement_shards` (the cluster's K, not the per-table clamp --
@@ -285,36 +280,32 @@ class EncryptedServer {
 
  private:
   struct SeriesPlanState;  // defined in server.cc
-  /// One (decrypt-unit x shard) slice of a series' batched SJ.Dec pass:
-  /// the pending rows of one unit that hash to one shard, optionally
-  /// chunked further for pool granularity. Defined in server.cc.
+  /// One (table, token) decryption unit of a series; defined in server.cc.
+  struct DecryptUnit;
+  /// One (decrypt-unit x shard) slice of the delegated SJ.Dec pass: the
+  /// pending rows of one unit that hash to one placement shard. Defined
+  /// in server.cc.
   struct ShardWorkUnit;
 
-  /// Groups a plan's pending (unit, row) decryptions into ShardWorkUnits
-  /// under `shard_of` (row position -> shard), then subdivides groups
-  /// into `rows_per_chunk`-row chunks (0 = no chunking: one work unit
-  /// per (unit, shard) group, the RPC granularity of the delegated
-  /// path). Chunks stay within one shard, so cache routing and stats
-  /// attribution are independent of chunking.
+  /// Groups a plan's pending (unit, row) decryptions into one
+  /// ShardWorkUnit per (unit, shard) under `shard_of` (row position ->
+  /// shard): the RPC granularity of the delegated path.
   static std::vector<ShardWorkUnit> BuildShardUnits(
       const SeriesPlanState& state,
-      const std::function<size_t(const EncryptedTable*, size_t)>& shard_of,
-      size_t rows_per_chunk);
-  /// Writes one work unit's computed digests (aligned with its rows)
-  /// back into the owning unit by original row position -- the merge
-  /// step that makes sharded/delegated results identical to unsharded.
-  static void MergeShardDigests(const ShardWorkUnit& wu,
-                                const std::vector<Digest32>& digests);
-  /// The SJ.Dec kernel of the sharded and delegated paths: decrypts
-  /// `rows` (positions within wu's snapshot) under wu's token -- Miller
-  /// loops cold or prepared through `cache` (nullptr: cold only), one
-  /// batched final exponentiation per `batch_rows` rows -- and returns
-  /// the digests aligned with `rows`, adding the work to `*stats`.
-  static std::vector<Digest32> DecryptShardRows(const ShardWorkUnit& wu,
-                                                const std::vector<size_t>& rows,
-                                                PreparedRowCache* cache,
-                                                size_t batch_rows,
-                                                ShardExecStats* stats);
+      const std::function<size_t(const EncryptedTable*, size_t)>& shard_of);
+  /// The SJ.Dec pass of every series path: one SecureJoin::DecryptBatched
+  /// call over `rows` (Miller loops scheduled per row, final
+  /// exponentiation in about one chunk per pool thread), row i's Miller
+  /// loop through cache_of(i) (nullptr: cold only). Writes each digest
+  /// back into its unit by row position -- the merge that makes sharded
+  /// and delegated results identical to unsharded -- and counts row i's
+  /// work into *stats_of(i). Only one thread calls stats_of, after the
+  /// pass.
+  static void DecryptPass(
+      const std::vector<std::pair<DecryptUnit*, size_t>>& rows,
+      int num_threads,
+      const std::function<PreparedRowCache*(size_t)>& cache_of,
+      const std::function<ShardExecStats*(size_t)>& stats_of);
 
   /// One generation of one table's K-way partition view, kept alive
   /// independently of the TableStore (the keepalive pins the generation

@@ -149,37 +149,16 @@ ShardDecryptResponse ShardWorker::Decrypt(const ShardDecryptRequest& req) {
     }
     table_id = TableIdFor(req.table);
   }
-  const bool use_cache = opts_.prepared_cache_bytes > 0;
-  // Miller loops per row (cold or prepared), one batched final
-  // exponentiation per decrypt_batch_rows chunk; byte-identical to the
-  // per-row path (see FinalExponentiationBatch).
-  const size_t batch = std::max<size_t>(1, opts_.decrypt_batch_rows);
-  resp.digests.reserve(held.size());
-  std::vector<Fp12> millers;
-  millers.reserve(std::min(batch, held.size()));
-  auto flush = [&] {
-    std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-    resp.digests.insert(resp.digests.end(), d.begin(), d.end());
-    millers.clear();
-  };
-  for (const auto& [id, ct] : held) {
-    std::shared_ptr<const SjPreparedRow> prep;
-    bool built = false;
-    if (use_cache) prep = cache_.Get(req.table, id, ct, &built);
-    if (prep) {
-      millers.push_back(SecureJoin::DecryptRowMillerPrepared(req.token, *prep));
-      ++(built ? resp.stats.prepared_rows_built
-               : resp.stats.prepared_cache_hits);
-    } else {
-      millers.push_back(SecureJoin::DecryptRowMiller(req.token, ct));
-      ++resp.stats.pairings_computed;
-    }
-    ++resp.stats.decrypts_performed;
-    if (millers.size() >= batch) flush();
-  }
-  if (!millers.empty()) flush();
-  resp.stats.prepared_pairings =
-      resp.stats.prepared_rows_built + resp.stats.prepared_cache_hits;
+  // The shared SJ.Dec kernel, inline on this pool thread (num_threads =
+  // 1): the coordinator pipelines every slice of a series, so the pool's
+  // threads are already busy across slices.
+  PreparedRowCache* cache = opts_.prepared_cache_bytes > 0 ? &cache_ : nullptr;
+  std::vector<MillerPath> paths(held.size());
+  resp.digests = SecureJoin::DecryptBatched(held.size(), 1, [&](size_t i) {
+    return CachedRowMiller(cache, req.table, held[i].first, held[i].second,
+                           req.token, &paths[i]);
+  });
+  for (MillerPath path : paths) CountMillerPath(path, &resp.stats);
   digests_computed_.fetch_add(held.size(), std::memory_order_relaxed);
 
   // This worker's ledger slice: the equality groups among the digests it

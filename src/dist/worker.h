@@ -22,7 +22,9 @@
 // from shared-pool threads, which block while they await worker answers,
 // cannot starve the very decrypts those answers need. The coordinator
 // pipelines its slices, so one connection may carry many requests at
-// once; the pool runs them num_threads at a time.
+// once; the pool runs them num_threads at a time, each request's rows
+// inline on its pool thread (SecureJoin::DecryptBatched at num_threads =
+// 1).
 #ifndef SJOIN_DIST_WORKER_H_
 #define SJOIN_DIST_WORKER_H_
 
@@ -47,9 +49,6 @@ struct ShardWorkerOptions {
   /// Threads of the worker's private decrypt pool (<= 0: hardware
   /// concurrency - 1; see docs/TUNING.md, "Distributed execution").
   int num_threads = 2;
-  /// Rows per batched-final-exponentiation chunk of a decrypt request
-  /// (byte-identical for any value; see ServerExecOptions).
-  size_t decrypt_batch_rows = SecureJoin::kDefaultDecryptBatchRows;
 };
 
 class ShardWorker : public ShardFrameHandler {

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -94,12 +95,16 @@ struct ForState {
 
 }  // namespace
 
+size_t ThreadPool::Width(size_t n, int parallelism) const {
+  const size_t limit = static_cast<size_t>(concurrency());
+  size_t width = parallelism <= 0 ? limit : static_cast<size_t>(parallelism);
+  return std::min({width, limit, n});
+}
+
 void ThreadPool::ParallelFor(size_t n, int parallelism,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  size_t width = parallelism <= 0 ? static_cast<size_t>(concurrency())
-                                  : static_cast<size_t>(parallelism);
-  width = std::min({width, static_cast<size_t>(concurrency()), n});
+  const size_t width = Width(n, parallelism);
   if (width <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;

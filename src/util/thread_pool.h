@@ -59,10 +59,13 @@ class ThreadPool {
   /// True once Shutdown began; Submit will refuse.
   bool stopped() const;
 
-  /// Runs fn(0..n-1) with up to `parallelism` concurrent executors
-  /// (<= 0: concurrency()). The calling thread participates; the effective
-  /// width is clamped to both concurrency() and n, so small batches never
-  /// pay for idle executors. Blocks until every index has run. Safe to
+  /// Executors ParallelFor(n, parallelism, ...) runs on: `parallelism`
+  /// (<= 0: concurrency()) clamped to both concurrency() and n, so small
+  /// batches never pay for idle executors.
+  size_t Width(size_t n, int parallelism) const;
+
+  /// Runs fn(0..n-1) on Width(n, parallelism) concurrent executors, the
+  /// calling thread among them. Blocks until every index has run. Safe to
   /// call from inside a pool task (the wait loop steals queued work), and
   /// degrades to inline execution on a stopped pool.
   void ParallelFor(size_t n, int parallelism,

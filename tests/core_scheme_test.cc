@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <span>
+#include <thread>
 
 #include "core/leakage.h"
 #include "core/scheme.h"
@@ -257,35 +263,81 @@ TEST(SecureJoinTest, BatchDecryptMatchesPerRow) {
   SjToken token = SecureJoin::GenToken(msk, {{sel}}, k, &rng);
   std::vector<SjRowCiphertext> rows;
   std::vector<SjPreparedRow> prepared;
-  for (int i = 0; i < 9; ++i) {  // deliberately not a multiple of the batch
+  for (int i = 0; i < 19; ++i) {
     Fr join = HashToFr("join", std::to_string(i % 4));
     rows.push_back(SecureJoin::EncryptRow(msk, join, {{sel}}, &rng));
     prepared.push_back(SecureJoin::PrepareRow(rows.back()));
   }
-  // The per-row paths are the byte-identity oracle for every batch shape:
-  // chunk boundaries, a trailing partial chunk, batch_rows = 0 (clamped to
-  // 1), batch wider than the row count, and chunk-level threading.
+  // The per-row paths are the byte-identity oracle for every schedule:
+  // inline and pooled widths, final-exponentiation chunks of one row, of a
+  // width that leaves a partial tail, of the default and wider than any
+  // row count (batch_rows = 0 clamps to 1), over row counts below, at and
+  // above one chunk.
   std::vector<Digest32> expect;
   for (const auto& ct : rows) {
     expect.push_back(SecureJoin::DecryptToDigest(token, ct));
   }
-  for (size_t batch : {size_t{0}, size_t{1}, size_t{4}, size_t{64}}) {
-    EXPECT_EQ(SecureJoin::DecryptRowsBatch(token, rows, 1, batch), expect)
-        << "batch_rows=" << batch;
-  }
-  EXPECT_EQ(SecureJoin::DecryptRowsBatch(token, rows, 3), expect);
-
   std::vector<Digest32> expect_prep;
   for (const auto& row : prepared) {
     expect_prep.push_back(SecureJoin::DecryptToDigestPrepared(token, row));
   }
   EXPECT_EQ(expect_prep, expect);  // preparation never changes the bytes
-  for (size_t batch : {size_t{1}, size_t{4}, size_t{64}}) {
-    EXPECT_EQ(SecureJoin::DecryptRowsPreparedBatch(token, prepared, 1, batch),
-              expect)
-        << "batch_rows=" << batch;
+  for (int threads : {0, 1, 2, 4}) {
+    for (size_t batch : {size_t{0}, size_t{1}, size_t{3}, size_t{8},
+                         size_t{64}}) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{8},
+                       size_t{19}}) {
+        const std::vector<Digest32> want(expect.begin(), expect.begin() + n);
+        EXPECT_EQ(SecureJoin::DecryptRowsBatch(
+                      token, std::span(rows).first(n), threads, batch),
+                  want)
+            << "threads=" << threads << " batch_rows=" << batch
+            << " n=" << n;
+        EXPECT_EQ(SecureJoin::DecryptRowsPreparedBatch(
+                      token, std::span(prepared).first(n), threads, batch),
+                  want)
+            << "prepared threads=" << threads << " batch_rows=" << batch
+            << " n=" << n;
+      }
+    }
   }
-  EXPECT_EQ(SecureJoin::DecryptRowsPreparedBatch(token, prepared, 3), expect);
+}
+
+// Rows, not chunks, are the unit of the Miller phase: with 8 rows on two
+// threads, rows 0 and 1 run at once. Each waits (at most 5 s) until two
+// distinct threads have entered; a schedule that hands all 8 rows to one
+// thread as one chunk times out with a single thread seen.
+TEST(SecureJoinTest, BatchDecryptSchedulesMillerLoopsPerRow) {
+  Rng rng(327);
+  auto msk = SecureJoin::Setup({.num_attrs = 1, .max_in_clause = 1}, &rng);
+  Fr sel = HashToFr("attr", std::string("s"));
+  SjToken token =
+      SecureJoin::GenToken(msk, {{sel}}, rng.NextFrNonZero(), &rng);
+  std::vector<SjRowCiphertext> rows;
+  std::vector<Digest32> expect;
+  for (int i = 0; i < 8; ++i) {
+    rows.push_back(SecureJoin::EncryptRow(
+        msk, HashToFr("join", std::to_string(i % 3)), {{sel}}, &rng));
+    expect.push_back(SecureJoin::DecryptToDigest(token, rows.back()));
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> entered;
+  auto miller = [&](size_t i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      entered.insert(std::this_thread::get_id());
+      cv.notify_all();
+      if (i < 2) {
+        cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return entered.size() >= 2; });
+      }
+    }
+    return SecureJoin::DecryptRowMiller(token, rows[i]);
+  };
+  std::vector<Digest32> got = SecureJoin::DecryptBatched(8, 2, miller);
+  EXPECT_GE(entered.size(), 2u);
+  EXPECT_EQ(got, expect);
 }
 
 TEST(SecureJoinTest, BatchDecryptEmptyInput) {

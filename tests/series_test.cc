@@ -46,6 +46,10 @@ TEST(ThreadPoolTest, SubmitRunsEnqueuedTasks) {
   std::condition_variable cv;
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pool.Submit([&] {
+      // Notify under the waiter's mutex: otherwise the last increment and
+      // its notify can land between the waiter's predicate check and its
+      // sleep, and the wakeup is lost.
+      std::lock_guard<std::mutex> lock(mu);
       if (ran.fetch_add(1) + 1 == 10) cv.notify_one();
     }));
   }
@@ -415,6 +419,86 @@ TEST_F(SeriesTest, PreparedPipelineDisabledComputesColdPairings) {
   EXPECT_EQ(s.prepared_rows_built, 0u);
   EXPECT_EQ(series_server_.prepared_cache().stats().entries, 0u);
   ExpectSameResults(batched->results, RunSequentially(*series));
+}
+
+// One parallel pass with every cache outcome: a dim-5 pair of tables fits
+// the prepared-row cache (each row built under the first query's token,
+// then hit under the second's), a dim-67 pair does not (each row refused,
+// a cold pairing). The row-scheduled kernel must count every decrypted row
+// exactly once, whichever thread ran it, and answer like a serial pass.
+TEST(SeriesStatsTest, ParallelPassCountsBuildsHitsAndRejects) {
+  auto make_table = [](const std::string& name) {
+    Table t(name, Schema({{"key", ValueKind::kInt64},
+                          {"tag", ValueKind::kString}}));
+    for (int64_t i = 0; i < 4; ++i) {
+      SJOIN_CHECK(t.AppendRow({i % 2, "x"}).ok());
+    }
+    return t;
+  };
+  auto spec = [](const std::string& a, const std::string& b) {
+    JoinQuerySpec q;
+    q.table_a = a;
+    q.table_b = b;
+    q.join_column_a = "key";
+    q.join_column_b = "key";
+    return q;
+  };
+  EncryptedClient small(
+      ClientOptions{.num_attrs = 1, .max_in_clause = 1, .rng_seed = 31});
+  EncryptedClient big(
+      ClientOptions{.num_attrs = 4, .max_in_clause = 15, .rng_seed = 32});
+  EncryptedServer parallel_server, serial_server;
+  std::vector<EncryptedTable> small_tables, big_tables;
+  for (const char* name : {"SmallA", "SmallB"}) {
+    auto t = small.EncryptTable(make_table(name), "key");
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    small_tables.push_back(std::move(*t));
+  }
+  for (const char* name : {"BigA", "BigB"}) {
+    auto t = big.EncryptTable(make_table(name), "key");
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    big_tables.push_back(std::move(*t));
+  }
+  for (const auto* tables : {&small_tables, &big_tables}) {
+    for (const EncryptedTable& t : *tables) {
+      ASSERT_TRUE(parallel_server.StoreTable(t).ok());
+      ASSERT_TRUE(serial_server.StoreTable(t).ok());
+    }
+  }
+  const size_t big_dim = big_tables[0].rows[0].sj.c.size();
+  ASSERT_GT(big_dim, 8 * small_tables[0].rows[0].sj.c.size());
+
+  auto series = small.PrepareSeries(
+      {spec("SmallA", "SmallB"), spec("SmallA", "SmallB")},
+      {&small_tables[0], &small_tables[1]});
+  auto big_series = big.PrepareSeries({spec("BigA", "BigB")},
+                                      {&big_tables[0], &big_tables[1]});
+  ASSERT_TRUE(series.ok() && big_series.ok());
+  series->queries.push_back(big_series->queries[0]);
+
+  // The server's cache splits its budget over 8 lock stripes: each stripe
+  // refuses a dim-67 row and still holds all eight dim-5 rows.
+  const size_t budget = 8 * (SjPreparedRow::BytesForDim(big_dim) - 1);
+  auto got = parallel_server.ExecuteJoinSeries(
+      *series, {.num_threads = 4, .prepared_cache_bytes = budget});
+  auto want = serial_server.ExecuteJoinSeries(
+      *series, {.num_threads = 1, .prepared_cache_bytes = budget});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  const SeriesExecStats& s = got->stats;
+  EXPECT_EQ(s.decrypts_performed, 24u);
+  EXPECT_EQ(s.pairings_computed + s.prepared_pairings, s.decrypts_performed);
+  EXPECT_EQ(s.prepared_rows_built + s.prepared_cache_hits,
+            s.prepared_pairings);
+  EXPECT_EQ(s.prepared_rows_built, 8u);
+  EXPECT_EQ(s.prepared_cache_hits, 8u);
+  EXPECT_EQ(s.pairings_computed, 8u);
+  EXPECT_EQ(parallel_server.prepared_cache().stats().rejected, 8u);
+  EXPECT_EQ(s.pairings_computed, want->stats.pairings_computed);
+  EXPECT_EQ(s.prepared_rows_built, want->stats.prepared_rows_built);
+  EXPECT_EQ(s.prepared_cache_hits, want->stats.prepared_cache_hits);
+  ExpectSameResults(got->results, want->results);
 }
 
 // (c) Leakage over a series matches sequential semantics, including the
