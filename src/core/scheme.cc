@@ -18,9 +18,9 @@ SecureJoin::MasterKey SecureJoin::Setup(const SecureJoinParams& params,
   return msk;
 }
 
-SjRowCiphertext SecureJoin::EncryptRow(const MasterKey& msk,
-                                       const Fr& join_value_hash,
-                                       std::span<const Fr> attrs, Rng* rng) {
+std::vector<Fr> SecureJoin::RowVector(const MasterKey& msk,
+                                      const Fr& join_value_hash,
+                                      std::span<const Fr> attrs, Rng* rng) {
   const size_t m = msk.params.num_attrs;
   const size_t t = msk.params.max_in_clause;
   SJOIN_CHECK(attrs.size() == m);
@@ -41,10 +41,24 @@ SjRowCiphertext SecureJoin::EncryptRow(const MasterKey& msk,
   }
   w.push_back(gamma1);
   w.push_back(Fr::Zero());
+  return w;
+}
 
-  SjRowCiphertext ct;
-  ct.c = ModifiedIpe::Encrypt(msk.ipe, w);
-  return ct;
+std::vector<SjRowCiphertext> SecureJoin::EncryptBatched(
+    const MasterKey& msk, std::span<const std::vector<Fr>> vectors,
+    int num_threads) {
+  std::vector<std::vector<G2Affine>> cts =
+      ModifiedIpe::EncryptBatched(msk.ipe, vectors, num_threads);
+  std::vector<SjRowCiphertext> out(cts.size());
+  for (size_t i = 0; i < cts.size(); ++i) out[i].c = std::move(cts[i]);
+  return out;
+}
+
+SjRowCiphertext SecureJoin::EncryptRow(const MasterKey& msk,
+                                       const Fr& join_value_hash,
+                                       std::span<const Fr> attrs, Rng* rng) {
+  const std::vector<Fr> w = RowVector(msk, join_value_hash, attrs, rng);
+  return std::move(EncryptBatched(msk, {&w, 1}, 1)[0]);
 }
 
 SjToken SecureJoin::GenToken(const MasterKey& msk,
@@ -152,24 +166,18 @@ std::vector<Digest32> SecureJoin::DecryptBatched(
     size_t batch_rows) {
   std::vector<Digest32> out(n);
   if (n == 0) return out;
-  ThreadPool* pool = num_threads == 1 ? nullptr : &ThreadPool::Shared();
-  const size_t width = pool ? pool->Width(n, num_threads) : 1;
-  auto for_each = [&](size_t count, const std::function<void(size_t)>& fn) {
-    if (pool) {
-      pool->ParallelFor(count, num_threads, fn);
-    } else {
-      for (size_t i = 0; i < count; ++i) fn(i);
-    }
-  };
+  const size_t width =
+      num_threads == 1 ? 1 : ThreadPool::Shared().Width(n, num_threads);
   // Phase 1: one task per row -- a cache hit never waits behind a build
   // that happens to share its chunk.
   std::vector<Fp12> millers(n);
-  for_each(n, [&](size_t i) { millers[i] = miller(i); });
+  ThreadPool::SharedFor(n, num_threads,
+                        [&](size_t i) { millers[i] = miller(i); });
   // Phase 2: about one chunk per executor, none wider than batch_rows.
   const size_t chunk =
       std::max<size_t>(1, std::min(batch_rows, (n + width - 1) / width));
   const std::span<const Fp12> all(millers);
-  for_each((n + chunk - 1) / chunk, [&](size_t c) {
+  ThreadPool::SharedFor((n + chunk - 1) / chunk, num_threads, [&](size_t c) {
     const size_t lo = c * chunk;
     std::vector<Digest32> digests =
         DigestMillerBatch(all.subspan(lo, std::min(chunk, n - lo)));

@@ -81,10 +81,31 @@ class SecureJoin {
   static MasterKey Setup(const SecureJoinParams& params, Rng* rng);
 
   /// SJ.Enc (client, upload phase). `join_value_hash` is H(a_0); `attrs`
-  /// are the m attribute values embedded in Z_q.
+  /// are the m attribute values embedded in Z_q. RowVector then a batch of
+  /// one on the calling thread.
   static SjRowCiphertext EncryptRow(const MasterKey& msk,
                                     const Fr& join_value_hash,
                                     std::span<const Fr> attrs, Rng* rng);
+
+  /// The randomised half of SJ.Enc: draws gamma_1 then gamma_2 from `rng`
+  /// and returns the row's SJ vector w (see the header comment). Cheap; a
+  /// client calls it serially so its RNG draws keep one order.
+  static std::vector<Fr> RowVector(const MasterKey& msk,
+                                   const Fr& join_value_hash,
+                                   std::span<const Fr> attrs, Rng* rng);
+
+  /// The batched SJ.Enc kernel behind every encrypt path (EncryptRow, the
+  /// client's EncryptTable and PrepareInsert): the deterministic half of
+  /// SJ.Enc over the SJ vectors RowVector drew. One shared-pool task per
+  /// (row, coordinate) G2 fixed-base multiplication, then each row's
+  /// affine conversion (ModifiedIpe::EncryptBatched), so even a one-row
+  /// batch fans out. Element i is byte-identical to a per-row encryption
+  /// of vectors[i] under any width. num_threads <= 0 means hardware
+  /// concurrency; num_threads == 1 runs inline on the calling thread and
+  /// never touches the shared pool.
+  static std::vector<SjRowCiphertext> EncryptBatched(
+      const MasterKey& msk, std::span<const std::vector<Fr>> vectors,
+      int num_threads = 0);
 
   /// SJ.TokenGen (client, query phase) for one table, under query key `k`.
   /// `k` must be shared by the two tokens of one join query and fresh across

@@ -85,16 +85,27 @@ Result<EncryptedTable> EncryptedClient::EncryptTable(
         std::to_string(options_.num_attrs));
   }
 
-  out.rows.reserve(table.NumRows());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    out.rows.push_back(EncryptRowFor(table.name(), table, r, join_idx));
-  }
+  out.rows = EncryptRowsFor(table.name(), table, join_idx);
   return out;
 }
 
-EncryptedRow EncryptedClient::EncryptRowFor(const std::string& table_name,
-                                            const Table& table, size_t r,
-                                            size_t join_idx) {
+std::vector<EncryptedRow> EncryptedClient::EncryptRowsFor(
+    const std::string& table_name, const Table& table, size_t join_idx) {
+  std::vector<EncryptedRow> rows(table.NumRows());
+  std::vector<std::vector<Fr>> sj_vectors(table.NumRows());
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    rows[r] = EncodeRowFor(table_name, table, r, join_idx, &sj_vectors[r]);
+  }
+  std::vector<SjRowCiphertext> cts =
+      SecureJoin::EncryptBatched(msk_, sj_vectors);
+  for (size_t r = 0; r < rows.size(); ++r) rows[r].sj = std::move(cts[r]);
+  return rows;
+}
+
+EncryptedRow EncryptedClient::EncodeRowFor(const std::string& table_name,
+                                           const Table& table, size_t r,
+                                           size_t join_idx,
+                                           std::vector<Fr>* sj_vector) {
   EncryptedRow row;
   // SJ vector inputs: hashed join value + embedded attributes, padded to m.
   Fr join_hash = EmbedJoinValue(table.At(r, join_idx));
@@ -109,7 +120,7 @@ EncryptedRow EncryptedClient::EncryptRowFor(const std::string& table_name,
                                            table.At(r, c), row.sse.salt));
     ++a;
   }
-  row.sj = SecureJoin::EncryptRow(msk_, join_hash, attrs, &rng_);
+  *sj_vector = SecureJoin::RowVector(msk_, join_hash, attrs, &rng_);
   // Payload: the full row, AEAD-protected.
   Bytes payload;
   for (size_t c = 0; c < table.schema().NumColumns(); ++c) {
@@ -168,10 +179,7 @@ Result<TableMutation> EncryptedClient::PrepareInsert(const EncryptedTable& enc,
   TableMutation m;
   m.table = enc.name;
   m.session_id = session_id_;
-  m.inserts.reserve(rows.NumRows());
-  for (size_t r = 0; r < rows.NumRows(); ++r) {
-    m.inserts.push_back(EncryptRowFor(enc.name, rows, r, *join_idx));
-  }
+  m.inserts = EncryptRowsFor(enc.name, rows, *join_idx);
   return m;
 }
 

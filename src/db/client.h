@@ -71,7 +71,12 @@ class EncryptedClient {
 
   /// SJ.Setup + SJ.Enc of every row; builds SSE tags and AEAD payloads.
   /// Every non-join column becomes a filterable attribute (at most
-  /// options.num_attrs of them).
+  /// options.num_attrs of them). The rows' RNG draws run serially on the
+  /// calling thread; their G2 exponentiations then fan out on
+  /// ThreadPool::Shared() (SecureJoin::EncryptBatched), so the output is
+  /// byte-identical to a one-row-at-a-time encryption under the same seed.
+  /// Like every method here it is single-caller: one thread at a time per
+  /// client object.
   Result<EncryptedTable> EncryptTable(const Table& table,
                                       const std::string& join_column);
 
@@ -156,12 +161,21 @@ class EncryptedClient {
   Fr EmbedAttrValue(const std::string& column, const Value& v) const;
 
  private:
-  /// SJ.Enc + SSE tags + AEAD payload for row `r` of `table`, tagged for
+  /// SJ.Enc + SSE tags + AEAD payload for every row of `table`, tagged for
   /// `table_name` (the server-side name: EncryptTable and PrepareInsert
   /// both route here, so inserted rows are indistinguishable from
-  /// originally uploaded ones).
-  EncryptedRow EncryptRowFor(const std::string& table_name,
-                             const Table& table, size_t r, size_t join_idx);
+  /// originally uploaded ones). A serial EncodeRowFor pass over the rows,
+  /// then one SecureJoin::EncryptBatched call on the shared pool.
+  std::vector<EncryptedRow> EncryptRowsFor(const std::string& table_name,
+                                           const Table& table,
+                                           size_t join_idx);
+  /// Everything of row `r` but its SJ ciphertext, whose SJ vector goes to
+  /// *sj_vector. Makes all of the row's RNG draws, in the order the wire
+  /// bytes depend on: SSE salt, gamma_1/gamma_2 (SecureJoin::RowVector),
+  /// AEAD nonce, onion nonce.
+  EncryptedRow EncodeRowFor(const std::string& table_name, const Table& table,
+                            size_t r, size_t join_idx,
+                            std::vector<Fr>* sj_vector);
   /// Predicate roots + SSE token groups for one side of one query.
   Status BuildSide(const TableSelection& sel, const EncryptedTable& enc,
                    SjPredicates* preds, std::vector<SseTokenGroup>* sse);

@@ -5,6 +5,7 @@
 #define SJOIN_EC_CURVE_H_
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "field/bn254.h"
@@ -271,12 +272,13 @@ class Point {
 };
 
 /// Converts many Jacobian points to affine with a single field inversion
-/// (Montgomery batch-inversion trick). Infinities map to affine infinity.
+/// (Montgomery batch-inversion trick), writing out[i] for points[i].
+/// Infinities map to affine infinity.
 template <typename Curve>
-std::vector<AffinePoint<typename Curve::Field>> BatchToAffine(
-    const std::vector<Point<Curve>>& points) {
+void BatchToAffine(std::span<const Point<Curve>> points,
+                   std::span<AffinePoint<typename Curve::Field>> out) {
   using F = typename Curve::Field;
-  std::vector<AffinePoint<F>> out(points.size());
+  SJOIN_CHECK(out.size() == points.size());
   std::vector<F> prefix;
   prefix.reserve(points.size());
   F running = F::One();
@@ -287,13 +289,24 @@ std::vector<AffinePoint<typename Curve::Field>> BatchToAffine(
   F inv = running.Inverse();
   for (size_t i = points.size(); i > 0; --i) {
     const auto& p = points[i - 1];
-    if (p.IsInfinity()) continue;
+    if (p.IsInfinity()) {
+      out[i - 1] = AffinePoint<F>::Infinity();
+      continue;
+    }
     F prev = (i >= 2) ? prefix[i - 2] : F::One();
     F zinv = inv * prev;
     inv = inv * p.Z();
     F zinv2 = zinv.Square();
     out[i - 1] = AffinePoint<F>::From(p.X() * zinv2, p.Y() * zinv2 * zinv);
   }
+}
+
+/// BatchToAffine into a fresh vector.
+template <typename Curve>
+std::vector<AffinePoint<typename Curve::Field>> BatchToAffine(
+    std::span<const Point<Curve>> points) {
+  std::vector<AffinePoint<typename Curve::Field>> out(points.size());
+  BatchToAffine<Curve>(points, std::span(out));
   return out;
 }
 

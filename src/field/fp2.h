@@ -204,10 +204,11 @@ class Fp2 {
   /// Conjugate a - b*u (the Frobenius map x -> x^p on Fp2).
   Fp2 Conjugate() const { return Fp2(a_, -b_); }
 
-  /// Multiplication by xi = 9 + u: (9a - b) + (a + 9b) u.
+  /// Multiplication by xi = 9 + u: (9a - b) + (a + 9b) u, with 9x as
+  /// 8x + x (three doublings; MulSmall's bit loop compiles to ~5x more).
   Fp2 MulByXi() const {
-    Fp nine_a = a_.MulSmall(9);
-    Fp nine_b = b_.MulSmall(9);
+    Fp nine_a = a_.Double().Double().Double() + a_;
+    Fp nine_b = b_.Double().Double().Double() + b_;
     return Fp2(nine_a - b_, a_ + nine_b);
   }
 

@@ -1,5 +1,9 @@
 #include "ipe/ipe.h"
 
+#include <algorithm>
+
+#include "util/thread_pool.h"
+
 namespace sjoin {
 namespace {
 
@@ -11,12 +15,27 @@ std::vector<G1Affine> G1Exponents(std::span<const Fr> exps) {
   return BatchToAffine<G1Curve>(jac);
 }
 
-std::vector<G2Affine> G2Exponents(std::span<const Fr> exps) {
-  std::vector<G2> jac;
-  jac.reserve(exps.size());
+/// g2^e for every exponent of every row (rows of equal length). The unit
+/// of work is one G2 fixed-base multiplication, indexed (row, coordinate);
+/// each row's BatchToAffine runs once all of the multiplications have
+/// finished.
+std::vector<std::vector<G2Affine>> G2Exponents(
+    std::span<const std::vector<Fr>> rows, int num_threads) {
+  const size_t dim = rows.empty() ? 0 : rows[0].size();
   const G2FixedBase& table = G2GeneratorTable();
-  for (const Fr& e : exps) jac.push_back(table.Mul(e));
-  return BatchToAffine<G2Curve>(jac);
+  std::vector<G2> jac(rows.size() * dim);
+  ThreadPool::SharedFor(jac.size(), num_threads, [&](size_t k) {
+    jac[k] = table.Mul(rows[k / dim][k % dim]);
+  });
+  // Sized by the calling thread, so a long-lived ciphertext never sits in
+  // a pool thread's malloc arena.
+  std::vector<std::vector<G2Affine>> out(rows.size(),
+                                         std::vector<G2Affine>(dim));
+  ThreadPool::SharedFor(rows.size(), num_threads, [&](size_t i) {
+    BatchToAffine<G2Curve>(std::span<const G2>(jac).subspan(i * dim, dim),
+                           std::span(out[i]));
+  });
+  return out;
 }
 
 }  // namespace
@@ -52,7 +71,7 @@ IpeCiphertext Ipe::Encrypt(const IpeMasterKey& msk, std::span<const Fr> w,
   for (Fr& x : wb) x *= beta;
   IpeCiphertext ct;
   ct.c1 = G2GeneratorTable().Mul(beta).ToAffine();
-  ct.c2 = G2Exponents(wb);
+  ct.c2 = std::move(G2Exponents({&wb, 1}, 1)[0]);
   return ct;
 }
 
@@ -91,9 +110,28 @@ std::vector<G1Affine> ModifiedIpe::KeyGen(const IpeMasterKey& msk,
 
 std::vector<G2Affine> ModifiedIpe::Encrypt(const IpeMasterKey& msk,
                                            std::span<const Fr> w) {
-  SJOIN_CHECK(w.size() == msk.dim);
-  std::vector<Fr> wb = msk.b_star.RowVecMul(w);  // w * B*
-  return G2Exponents(wb);
+  const std::vector<Fr> row(w.begin(), w.end());
+  return std::move(EncryptBatched(msk, {&row, 1}, 1)[0]);
+}
+
+std::vector<std::vector<G2Affine>> ModifiedIpe::EncryptBatched(
+    const IpeMasterKey& msk, std::span<const std::vector<Fr>> ws,
+    int num_threads) {
+  for (const std::vector<Fr>& w : ws) SJOIN_CHECK(w.size() == msk.dim);
+  std::vector<std::vector<G2Affine>> out(ws.size());
+  // Blocks of rows bound the Jacobian scratch of a large upload to a few
+  // hundred KiB; a block still holds thousands of pool tasks.
+  constexpr size_t kBlockRows = 128;
+  for (size_t lo = 0; lo < ws.size(); lo += kBlockRows) {
+    const size_t n = std::min(kBlockRows, ws.size() - lo);
+    std::vector<std::vector<Fr>> exps(n);
+    ThreadPool::SharedFor(n, num_threads, [&](size_t i) {
+      exps[i] = msk.b_star.RowVecMul(ws[lo + i]);  // w * B*
+    });
+    std::vector<std::vector<G2Affine>> cts = G2Exponents(exps, num_threads);
+    std::move(cts.begin(), cts.end(), out.begin() + lo);
+  }
+  return out;
 }
 
 GT ModifiedIpe::Decrypt(std::span<const G1Affine> token,

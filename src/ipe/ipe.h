@@ -82,9 +82,18 @@ class ModifiedIpe {
   /// Tk = g1^{v B}.
   static std::vector<G1Affine> KeyGen(const IpeMasterKey& msk,
                                       std::span<const Fr> v);
-  /// C = g2^{w B*}.
+  /// C = g2^{w B*}; EncryptBatched of one vector, on the calling thread.
   static std::vector<G2Affine> Encrypt(const IpeMasterKey& msk,
                                        std::span<const Fr> w);
+  /// Encrypt of every vector in `ws`; element i is byte-identical to
+  /// Encrypt(msk, ws[i]) under any thread count. Per block of 128 rows,
+  /// three pool passes: w B* per row, then one task per (row, coordinate)
+  /// G2 fixed-base multiplication, then one BatchToAffine per row.
+  /// num_threads <= 0 means the shared pool's full width; num_threads == 1
+  /// runs inline on the calling thread and never touches the pool.
+  static std::vector<std::vector<G2Affine>> EncryptBatched(
+      const IpeMasterKey& msk, std::span<const std::vector<Fr>> ws,
+      int num_threads);
   /// D = e(Tk, C) = e(g1, g2)^{det(B) <v, w>} (one multi-pairing).
   static GT Decrypt(std::span<const G1Affine> token,
                     std::span<const G2Affine> ct);

@@ -95,6 +95,15 @@ struct ForState {
 
 }  // namespace
 
+void ThreadPool::SharedFor(size_t n, int parallelism,
+                           const std::function<void(size_t)>& fn) {
+  if (parallelism == 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  } else {
+    Shared().ParallelFor(n, parallelism, fn);
+  }
+}
+
 size_t ThreadPool::Width(size_t n, int parallelism) const {
   const size_t limit = static_cast<size_t>(concurrency());
   size_t width = parallelism <= 0 ? limit : static_cast<size_t>(parallelism);

@@ -71,6 +71,12 @@ class ThreadPool {
   void ParallelFor(size_t n, int parallelism,
                    const std::function<void(size_t)>& fn);
 
+  /// Shared().ParallelFor(n, parallelism, fn), except that parallelism == 1
+  /// runs fn(0..n-1) inline and never touches (or creates) the shared pool.
+  /// The batched crypto kernels take their num_threads this way.
+  static void SharedFor(size_t n, int parallelism,
+                        const std::function<void(size_t)>& fn);
+
  private:
   void WorkerLoop();
   /// Pops and runs one queued task if any; used by waiting ParallelFor

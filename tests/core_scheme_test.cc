@@ -350,6 +350,50 @@ TEST(SecureJoinTest, BatchDecryptEmptyInput) {
   EXPECT_TRUE(SecureJoin::DecryptRowsPreparedBatch(token, {}).empty());
 }
 
+// The batched SJ.Enc kernel against per-row EncryptRow: the same RNG draws
+// (RowVector), then every (row, coordinate) G2 multiplication on a pool of
+// each width, inline included, over empty, one-row and multi-row batches.
+TEST(SecureJoinTest, BatchEncryptMatchesPerRow) {
+  Rng rng(328);
+  auto msk = SecureJoin::Setup({.num_attrs = 2, .max_in_clause = 2}, &rng);
+  constexpr uint64_t kDrawSeed = 329;
+  auto vectors_of = [&](size_t n) {
+    Rng draws(kDrawSeed);
+    std::vector<std::vector<Fr>> vectors;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<Fr> attrs = {HashToFr("attr", std::to_string(i % 5)),
+                               HashToFr("attr", std::to_string(i % 2))};
+      vectors.push_back(SecureJoin::RowVector(
+          msk, HashToFr("join", std::to_string(i)), attrs, &draws));
+    }
+    return vectors;
+  };
+  // Per-row EncryptRow under the same draws is the oracle.
+  std::vector<SjRowCiphertext> expect;
+  Rng per_row(kDrawSeed);
+  for (size_t i = 0; i < 130; ++i) {
+    std::vector<Fr> attrs = {HashToFr("attr", std::to_string(i % 5)),
+                             HashToFr("attr", std::to_string(i % 2))};
+    expect.push_back(SecureJoin::EncryptRow(
+        msk, HashToFr("join", std::to_string(i)), attrs, &per_row));
+  }
+  auto check = [&](size_t n, int threads) {
+    std::vector<SjRowCiphertext> got =
+        SecureJoin::EncryptBatched(msk, vectors_of(n), threads);
+    ASSERT_EQ(got.size(), n) << "threads=" << threads;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].c, expect[i].c)
+          << "threads=" << threads << " n=" << n << " row=" << i;
+    }
+  };
+  for (int threads : {1, 2, 4}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{19}}) {
+      check(n, threads);
+    }
+  }
+  check(130, 0);  // crosses the kernel's 128-row block boundary
+}
+
 // --- Join algorithms over digests --------------------------------------------
 
 Digest32 FakeDigest(uint8_t tag) {

@@ -140,6 +140,11 @@ TEST(G1Test, BatchToAffineMatchesIndividual) {
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(batch[i], points[i].ToAffine()) << i;
   }
+  // Into caller storage holding a stale finite point: every slot,
+  // infinities included, is overwritten.
+  std::vector<G1Affine> into(points.size(), batch[0]);
+  BatchToAffine<G1Curve>(points, std::span(into));
+  EXPECT_EQ(into, batch);
 }
 
 TEST(G1Test, FixedBaseMatchesScalarMul) {

@@ -220,6 +220,15 @@ TEST(Fp2Test, MulByXiMatchesGenericMul) {
     Fp2 a = rng.NextFp2();
     EXPECT_EQ(a.MulByXi(), a * Fp2::Xi());
   }
+  // Edge coefficients 0, 1 and p - 1, where a doubling chain wraps.
+  const Fp edges[] = {Fp::Zero(), Fp::One(), -Fp::One()};
+  for (const Fp& x : edges) {
+    for (const Fp& y : edges) {
+      Fp2 a(x, y);
+      EXPECT_EQ(a.MulByXi(), a * Fp2::Xi());
+      EXPECT_EQ(a.MulByXi(), a.MulReference(Fp2::Xi()));
+    }
+  }
 }
 
 TEST(Fp2Test, ConjugateIsFrobenius) {
